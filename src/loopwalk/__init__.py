@@ -33,6 +33,7 @@ from .propagate import TransferMatrix, compose, permute_modes, transfer_matrix
 from .correlations import (
     InvariantSubspace,
     classical_p,
+    correlation_sweep,
     device_correlation,
     gamma_delayed,
     gamma_one_step,
@@ -79,6 +80,7 @@ __all__ = [
     "transfer_matrix",
     "compose",
     "permute_modes",
+    "correlation_sweep",
     "gamma_simultaneous",
     "gamma_one_step",
     "gamma_delayed",

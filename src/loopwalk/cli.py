@@ -19,23 +19,22 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .correlations import (
-    device_correlation,
+    correlation_sweep,
     invariant_modes,
     optimal_theta,
+    require_commuting_loop,
     survival_prefactor,
 )
 from .feasibility import PhysicalParams, discreteness_check, loop_budget
 from .fock_oracle import delayed_run
 from .model import (
     ConfigError,
-    CorrelationMatrix,
     DeviceConfig,
     NumericError,
     permutation_for,
@@ -66,7 +65,6 @@ class RunManifest:
     seed: int
     tool_version: str
     oracle: bool
-    jobs: int
 
     def __post_init__(self):
         for axis, name in (
@@ -245,6 +243,9 @@ def _write_csv(path: str, values: np.ndarray):
                 fh.write(f"{r + 1},{s + 1},{values[r, s]:.17g}\n")
 
 
+_GREY = tuple(str(v) for v in range(256))
+
+
 def _write_pgm(path: str, values: np.ndarray):
     vmax = float(values.max())
     if vmax > 0.0:
@@ -252,9 +253,9 @@ def _write_pgm(path: str, values: np.ndarray):
     else:
         grey = np.zeros_like(values, dtype=int)
     lines = ["P2", f"{values.shape[1]} {values.shape[0]}", "255"]
-    flat = grey.ravel().tolist()
+    flat = [_GREY[v] for v in grey.ravel().tolist()]
     for i in range(0, len(flat), 15):  # keep lines under the 70-char format limit
-        lines.append(" ".join(str(v) for v in flat[i : i + 15]))
+        lines.append(" ".join(flat[i : i + 15]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -300,10 +301,13 @@ def cmd_correlate(args) -> int:
         if args.oracle and j == k:
             raise ConfigError("oracle comparison needs distinct input guides")
 
+    # the eigensystem and the loop relabelling do not depend on theta
+    p = require_commuting_loop(base_cfg)
+    es = eigensystem_for(base_cfg)
+
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
     formats = tuple(args.formats.split(","))
-    jobs = args.jobs if args.jobs else min(8, os.cpu_count() or 1)
 
     manifest = RunManifest(
         device=base_cfg.to_json_dict(),
@@ -318,31 +322,39 @@ def cmd_correlate(args) -> int:
         seed=args.seed,
         tool_version=__version__,
         oracle=bool(args.oracle),
-        jobs=jobs,
     )
 
-    cells = [
-        (ti, theta, nd, (j, k), kind, n)
-        for ti, theta in enumerate(thetas)
-        for nd in delays
-        for (j, k) in pairs
-        for kind in kinds
-        for n in steps
-    ]
-
-    def compute(cell):
-        ti, theta, nd, (j, k), kind, n = cell
-        cfg = replace(base_cfg, theta=theta)
-        matrix = device_correlation(cfg, n, j, k, n_d=nd, kind=kind, rescaled=rescaled)
-        return cell, cfg, matrix
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(compute, cells))
-
     written = []
-    for cell, cfg, matrix in results:
-        ti, theta, nd, (j, k), kind, n = cell
-        name = _cell_name(kind, rescaled, ti, nd, n, j, k)
+    oracle_cells = []  # (theta index, theta, matrix) of the cells --oracle checks
+    for ti, theta in enumerate(thetas):
+        th = replace(base_cfg, theta=theta).uniform_theta()
+        for nd in delays:
+            for j, k in pairs:
+                for kind in kinds:
+                    sweep = correlation_sweep(
+                        es, p, th, base_cfg.tau, steps, j, k,
+                        n_d=nd, kind=kind, rescaled=rescaled,
+                    )
+                    for matrix in sweep:
+                        written += _write_cell(base_cfg, theta, ti, matrix, formats, out_dir)
+                        if args.oracle and kind == "quantum" and matrix.step >= 1:
+                            oracle_cells.append((ti, theta, matrix))
+
+    if args.oracle:
+        written += _oracle_compare(base_cfg, manifest, oracle_cells, out_dir)
+
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest.to_json_dict())
+    _log_line(out_dir, f"correlate wrote {len(written) + 1} files to {out_dir}")
+    print(f"wrote {len(written) + 1} files to {out_dir}")
+    return 0
+
+
+def _write_cell(cfg, theta, ti, matrix, formats, out_dir) -> list:
+    """Write one correlation matrix in every requested format."""
+    j, k = matrix.inputs
+    name = _cell_name(matrix.kind, matrix.rescaled, ti, matrix.delay, matrix.step, j, k)
+    written = []
+    if "json" in formats:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
@@ -354,61 +366,46 @@ def cmd_correlate(args) -> int:
             "omega": cfg.omega,
         }
         payload.update(matrix.to_dict())
-        if "json" in formats:
-            _write_json(os.path.join(out_dir, f"corr_{name}.json"), payload)
-            written.append(f"corr_{name}.json")
-        if "csv" in formats:
-            _write_csv(os.path.join(out_dir, f"corr_{name}.csv"), matrix.values)
-            written.append(f"corr_{name}.csv")
-        if "pgm" in formats:
-            _write_pgm(os.path.join(out_dir, f"corr_{name}.pgm"), matrix.values)
-            written.append(f"corr_{name}.pgm")
-
-    if args.oracle:
-        written += _oracle_compare(base_cfg, manifest, results, out_dir)
-
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest.to_json_dict())
-    _log_line(out_dir, f"correlate wrote {len(written) + 1} files to {out_dir}")
-    print(f"wrote {len(written) + 1} files to {out_dir}")
-    return 0
+        _write_json(os.path.join(out_dir, f"corr_{name}.json"), payload)
+        written.append(f"corr_{name}.json")
+    if "csv" in formats:
+        _write_csv(os.path.join(out_dir, f"corr_{name}.csv"), matrix.values)
+        written.append(f"corr_{name}.csv")
+    if "pgm" in formats:
+        _write_pgm(os.path.join(out_dir, f"corr_{name}.pgm"), matrix.values)
+        written.append(f"corr_{name}.pgm")
+    return written
 
 
-def _oracle_compare(base_cfg, manifest, results, out_dir) -> list:
+def _oracle_compare(base_cfg, manifest, cells, out_dir) -> list:
     """Run the exact simulator once per (theta, delay, pair) and report the
-    worst entrywise difference for every quantum cell."""
+    worst entrywise difference for every quantum cell with n >= 1."""
     max_step = max(manifest.steps)
     runs = {}
-    for cell, cfg, matrix in results:
-        ti, theta, nd, (j, k), kind, n = cell
-        if kind != "quantum":
-            continue
-        key = (ti, nd, (j, k))
-        if key not in runs and max_step >= 1:
-            runs[key] = delayed_run(replace(base_cfg, theta=theta), j, k, nd, max_step)
-
     entries = []
     written = []
-    for cell, cfg, matrix in results:
-        ti, theta, nd, (j, k), kind, n = cell
-        if kind != "quantum" or n < 1:
-            continue
-        run = runs[(ti, nd, (j, k))]
+    for ti, theta, matrix in cells:
+        n, nd, (j, k) = matrix.step, matrix.delay, matrix.inputs
+        key = (ti, nd, (j, k))
+        if key not in runs:
+            runs[key] = delayed_run(replace(base_cfg, theta=theta), j, k, nd, max_step)
+        run = runs[key]
         physical = run.transit_records[n - 1].coincidences
         oracle_vals = physical / survival_prefactor(theta, n) if manifest.rescaled else physical
-        name = _cell_name(kind, manifest.rescaled, ti, nd, n, j, k)
+        name = _cell_name(matrix.kind, manifest.rescaled, ti, nd, n, j, k)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
             "record": "oracle_correlation_matrix",
-            "topology": cfg.topology,
-            "n_modes": cfg.n_modes,
+            "topology": base_cfg.topology,
+            "n_modes": base_cfg.n_modes,
             "theta": theta,
             "entry_probability": run.entry_prob,
             "values": oracle_vals.tolist(),
             "step": n,
             "delay": nd,
             "inputs": [j, k],
-            "kind": kind,
+            "kind": matrix.kind,
             "rescaled": manifest.rescaled,
         }
         if "json" in manifest.formats:
@@ -538,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also run the exact Fock simulator and report differences")
     corr.add_argument("--formats", default="csv,json", help="comma list from csv,json,pgm")
     corr.add_argument("--out", help="output directory (default $QWALK_OUT or ./qwalk_out)")
-    corr.add_argument("--jobs", type=int, default=0, help="worker threads (default auto)")
     corr.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
     corr.set_defaults(func=cmd_correlate)
 

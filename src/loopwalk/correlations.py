@@ -12,7 +12,12 @@ and q is the inverse of the n-fold loop relabelling: detectors are wired
 to fixed positions while the walk pattern is carried around the loop.
 The classical (distinguishable) counterpart adds the two squared moduli
 instead of the two amplitudes, so the difference between the matrices is
-purely two-photon interference.
+purely two-photon interference.  Carrying the pattern by relabelling is
+exact only when the loop permutation commutes with the coupling matrix.
+
+The formula lives in :func:`correlation_sweep`, which evaluates it for
+every step of one (input pair, delay, kind); the other entry points are
+one-step calls into it.
 
 Every function takes 1-based guide indices and an explicit ``rescaled``
 flag: rescaled output divides out the survival prefactor (the form used
@@ -37,8 +42,8 @@ from .model import (
     UnsupportedConfigError,
     permutation_for,
 )
-from .propagate import compose, transfer_matrix
-from .spectra import eigensystem_for
+from .propagate import compose, permute_modes
+from .spectra import coupling_for, eigensystem_for
 
 
 def _uniform(theta) -> float:
@@ -64,10 +69,81 @@ def _check_inputs(n_modes: int, j: int, k: int):
         raise ConfigError(f"input guides ({j}, {k}) out of range 1..{n_modes}")
 
 
-def _finish(amp_sq: np.ndarray, pref: float) -> np.ndarray:
-    out = amp_sq.copy()
-    out[np.diag_indices_from(out)] *= 0.5
-    return pref * out
+def correlation_sweep(
+    es: EigenSystem,
+    p: Permutation,
+    theta,
+    tau: float,
+    steps,
+    j: int,
+    k: int,
+    *,
+    n_d: int = 0,
+    kind: str = "quantum",
+    rescaled: bool,
+):
+    """Coincidence matrices for one input pair, delay and kind, step by step.
+
+    Photon one enters guide j and has propagated n + n_d transits when
+    photon two, entering guide k n_d transits later, has propagated n; the
+    detector wiring follows each photon's own relabelling depth.  Rows
+    j and k of U(m tau) for every step come from one phase matrix and one
+    matrix product.  Inputs are checked here; the returned iterator yields
+    one :class:`CorrelationMatrix` per entry of ``steps``, in order.
+
+    ``n = 0`` is the input snapshot and is only defined rescaled (the
+    physical prefactor counts coupler passes that have not happened yet).
+    Classical (distinguishable) patterns exist for n_d = 0 only.
+    """
+    if kind not in ("quantum", "classical"):
+        raise ConfigError(f"kind must be quantum or classical, got {kind!r}")
+    if kind == "classical" and n_d != 0:
+        raise UnsupportedConfigError(
+            "classical correlations are only defined for simultaneous input"
+        )
+    _check_inputs(es.n, j, k)
+    if n_d < 0:
+        raise ConfigError(f"delay must be >= 0, got {n_d}")
+    steps = tuple(int(n) for n in steps)
+    for n in steps:
+        if n < 0:
+            raise ConfigError(f"transit count must be >= 0, got {n}")
+        if n == 0 and not rescaled:
+            raise ConfigError("the n = 0 snapshot exists only as rescaled output")
+    th = _uniform(theta)
+
+    # photon one's row at steps n + n_d, then photon two's at steps n; the
+    # stack always has >= 2 rows, so matmul stays a gemm and each row is
+    # bit-identical to the same row of transfer_matrix (a one-row product
+    # goes to gemv, whose sums differ in the last bit)
+    counts = [n + n_d for n in steps] + list(steps)
+    t = np.array([float(m * tau) for m in counts])
+    v = es.eigenvectors
+    phases = np.exp((-1j * es.eigenvalues)[None, :] * t[:, None])
+    half = len(steps)
+    rows = np.concatenate((v[j - 1] * phases[:half], v[k - 1] * phases[half:])) @ v.conj().T
+    # detector d reads mode q(d), q the inverse of the m-fold relabelling
+    wiring = {m: compose(p, -m).zero_based() for m in set(counts)}
+
+    def matrices():
+        for i, n in enumerate(steps):
+            cross = np.outer(rows[i, wiring[n + n_d]], rows[half + i, wiring[n]])
+            if kind == "quantum":
+                amp_sq = np.abs(cross + cross.T) ** 2
+            else:
+                amp_sq = np.abs(cross) ** 2
+                amp_sq = amp_sq + amp_sq.T
+            amp_sq[np.diag_indices_from(amp_sq)] *= 0.5
+            values = (1.0 if rescaled else survival_prefactor(th, n)) * amp_sq
+            if kind == "quantum" and j == k:
+                # a doubly occupied input carries norm sqrt(2); for n_d > 0
+                # this keeps the n_d = 0 limit, the scale being shape-only
+                values = values / 2.0
+            yield CorrelationMatrix(
+                values=values, step=n, delay=n_d, inputs=(j, k), kind=kind, rescaled=rescaled
+            )
+
+    return matrices()
 
 
 def gamma_simultaneous(
@@ -86,25 +162,7 @@ def gamma_simultaneous(
     ``n = 0`` is the input snapshot and is only defined rescaled (the
     physical prefactor counts coupler passes that have not happened yet).
     """
-    _check_inputs(es.n, j, k)
-    if n < 0:
-        raise ConfigError(f"transit count must be >= 0, got {n}")
-    if n == 0 and not rescaled:
-        raise ConfigError("the n = 0 snapshot exists only as rescaled output")
-    th = _uniform(theta)
-    q = compose(p, n).inverse().zero_based()
-    u = transfer_matrix(es, n * tau).u
-    uj = u[j - 1, q]
-    uk = u[k - 1, q]
-    cross = np.outer(uj, uk)
-    amp = cross + cross.T
-    pref = 1.0 if rescaled else survival_prefactor(th, n)
-    values = _finish(np.abs(amp) ** 2, pref)
-    if j == k:
-        values = values / 2.0  # doubly occupied input carries norm sqrt(2)
-    return CorrelationMatrix(
-        values=values, step=n, delay=0, inputs=(j, k), kind="quantum", rescaled=rescaled
-    )
+    return next(correlation_sweep(es, p, theta, tau, (n,), j, k, rescaled=rescaled))
 
 
 def gamma_one_step(
@@ -128,21 +186,8 @@ def classical_p(
     """Distinguishable-photon coincidences: the same two propagation
     histories as the quantum case, summed in probability instead of
     amplitude."""
-    _check_inputs(es.n, j, k)
-    if n < 0:
-        raise ConfigError(f"transit count must be >= 0, got {n}")
-    if n == 0 and not rescaled:
-        raise ConfigError("the n = 0 snapshot exists only as rescaled output")
-    th = _uniform(theta)
-    q = compose(p, n).inverse().zero_based()
-    u = transfer_matrix(es, n * tau).u
-    uj = u[j - 1, q]
-    uk = u[k - 1, q]
-    cross = np.abs(np.outer(uj, uk)) ** 2
-    pref = 1.0 if rescaled else survival_prefactor(th, n)
-    values = _finish(cross + cross.T, pref)
-    return CorrelationMatrix(
-        values=values, step=n, delay=0, inputs=(j, k), kind="classical", rescaled=rescaled
+    return next(
+        correlation_sweep(es, p, theta, tau, (n,), j, k, kind="classical", rescaled=rescaled)
     )
 
 
@@ -169,31 +214,7 @@ def gamma_delayed(
     one is not normalised by the closed form), so comparisons across
     conventions should normalise first.
     """
-    _check_inputs(es.n, j, k)
-    if n_d < 0:
-        raise ConfigError(f"delay must be >= 0, got {n_d}")
-    if n < 0:
-        raise ConfigError(f"transit count must be >= 0, got {n}")
-    if n == 0 and not rescaled:
-        raise ConfigError("the n = 0 snapshot exists only as rescaled output")
-    th = _uniform(theta)
-    q_late = compose(p, n + n_d).inverse().zero_based()
-    q_early = compose(p, n).inverse().zero_based()
-    u_late = transfer_matrix(es, (n + n_d) * tau).u
-    u_early = transfer_matrix(es, n * tau).u
-    uj = u_late[j - 1, q_late]
-    uk = u_early[k - 1, q_early]
-    cross = np.outer(uj, uk)
-    amp = cross + cross.T
-    pref = 1.0 if rescaled else survival_prefactor(th, n)
-    values = _finish(np.abs(amp) ** 2, pref)
-    if j == k:
-        # keeps the n_d = 0 limit identical to the simultaneous case; for
-        # n_d > 0 the scale is shape-only anyway (see docstring)
-        values = values / 2.0
-    return CorrelationMatrix(
-        values=values, step=n, delay=n_d, inputs=(j, k), kind="quantum", rescaled=rescaled
-    )
+    return next(correlation_sweep(es, p, theta, tau, (n,), j, k, n_d=n_d, rescaled=rescaled))
 
 
 def optimal_theta(n: int) -> float:
@@ -399,6 +420,26 @@ def two_photon_invariant_check(
 # ---- device-level convenience -----------------------------------------------
 
 
+def require_commuting_loop(cfg: DeviceConfig) -> Permutation:
+    """The device's loop permutation, checked against the closed forms.
+
+    The closed forms carry the pattern around the loop by rewiring the
+    detectors, which is exact only when the relabelling P commutes with
+    the coupling matrix G.  Topologies built here always do; a custom
+    device may not, and is refused with UnsupportedConfigError when
+    max |P G P^T - G| exceeds 1e-12 max(1, max |G|).
+    """
+    p = permutation_for(cfg)
+    g = coupling_for(cfg).g
+    defect = float(np.max(np.abs(permute_modes(g, p) - g)))
+    if defect > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+        raise UnsupportedConfigError(
+            "closed-form correlations need a loop permutation that commutes with "
+            f"the coupling matrix; max |P G P^T - G| = {defect:.3e}"
+        )
+    return p
+
+
 def device_correlation(
     cfg: DeviceConfig,
     n: int,
@@ -410,17 +451,9 @@ def device_correlation(
     rescaled: bool,
 ) -> CorrelationMatrix:
     """One correlation matrix straight from a device description."""
+    p = require_commuting_loop(cfg)
     es = eigensystem_for(cfg)
-    p = permutation_for(cfg)
-    th = cfg.uniform_theta()
-    if kind == "quantum":
-        if n_d == 0:
-            return gamma_simultaneous(es, p, th, cfg.tau, n, j, k, rescaled=rescaled)
-        return gamma_delayed(es, p, th, cfg.tau, n, n_d, j, k, rescaled=rescaled)
-    if kind == "classical":
-        if n_d != 0:
-            raise UnsupportedConfigError(
-                "classical correlations are only defined for simultaneous input"
-            )
-        return classical_p(es, p, th, cfg.tau, n, j, k, rescaled=rescaled)
-    raise ConfigError(f"kind must be quantum or classical, got {kind!r}")
+    sweep = correlation_sweep(
+        es, p, cfg.uniform_theta(), cfg.tau, (n,), j, k, n_d=n_d, kind=kind, rescaled=rescaled
+    )
+    return next(sweep)

@@ -43,12 +43,27 @@ def transfer_matrix(es: EigenSystem, t: float) -> TransferMatrix:
 
 
 def compose(p: Permutation, n: int) -> Permutation:
-    """p applied n times; negative n composes the inverse, n = 0 is identity."""
-    base = p if n >= 0 else p.inverse()
-    out = Permutation.identity(p.n)
-    for _ in range(abs(int(n))):
-        out = Permutation(tuple(base(out(j)) for j in range(1, p.n + 1)))
-    return out
+    """p applied n times; negative n composes the inverse, n = 0 is identity.
+
+    Walks each cycle of p once: on a cycle of length L, p^n moves every
+    element n mod L places along it, so the cost is O(N) for any n.
+    """
+    n = int(n)
+    mapping = p.mapping
+    out = [0] * p.n
+    for start in range(p.n):
+        if out[start]:
+            continue
+        cycle = [start]
+        nxt = mapping[start] - 1
+        while nxt != start:
+            cycle.append(nxt)
+            nxt = mapping[nxt] - 1
+        length = len(cycle)
+        shift = n % length  # Python's modulo is non-negative, so n < 0 runs backwards
+        for pos, idx in enumerate(cycle):
+            out[idx] = cycle[(pos + shift) % length] + 1
+    return Permutation(tuple(out))
 
 
 def permute_modes(m: np.ndarray, p: Permutation, side: str = "both") -> np.ndarray:

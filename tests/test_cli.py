@@ -6,6 +6,7 @@ import pytest
 
 from loopwalk.cli import _parse_pairs, _parse_steps, _write_pgm, main
 from loopwalk.model import ConfigError, CorrelationMatrix, EigenSystem
+from test_correlations import non_commuting_device
 
 
 def run(tmp_path, *argv):
@@ -104,7 +105,7 @@ def test_runs_are_byte_identical(tmp_path):
     args = (
         "correlate", "--topology", "twisted_circle", "--n-modes", "6",
         "--shift-c", "2", "--inputs", "1,4", "--steps", "0..2",
-        "--formats", "csv,json,pgm", "--jobs", "3",
+        "--formats", "csv,json,pgm",
     )
     code1, out1 = run(tmp_path / "a", *args)
     code2, out2 = run(tmp_path / "b", *args)
@@ -270,6 +271,16 @@ def test_config_file_device(tmp_path):
     assert code == 0
     d = json.loads((out / "manifest.json").read_text())
     assert d["device"]["topology"] == "twisted_circle"
+
+
+def test_non_commuting_custom_device_is_config_error(tmp_path):
+    cfile = tmp_path / "dev.json"
+    cfile.write_text(non_commuting_device().to_json())
+    code, out = run(
+        tmp_path, "correlate", "--config", str(cfile), "--inputs", "1,3", "--steps", "1..2"
+    )
+    assert code == 2
+    assert not out.exists()
 
 
 def test_config_file_conflicts_with_flags(tmp_path):

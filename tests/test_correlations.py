@@ -3,6 +3,7 @@ import pytest
 
 from loopwalk.correlations import (
     classical_p,
+    correlation_sweep,
     device_correlation,
     gamma_delayed,
     gamma_one_step,
@@ -19,9 +20,12 @@ from loopwalk.model import (
     Permutation,
     UnsupportedConfigError,
     permutation_for,
+    validate_device,
 )
-from loopwalk.propagate import permute_modes
-from loopwalk.spectra import eigen_circulant, eigen_tridiagonal
+from loopwalk.fock_oracle import simultaneous_run
+from loopwalk.propagate import permute_modes, transfer_matrix
+from loopwalk.spectra import eigen_circulant, eigen_tridiagonal, eigensystem_for
+from test_propagate import _naive_compose
 
 Q = np.pi / 4
 
@@ -219,7 +223,115 @@ def test_delayed_records_delay():
     assert g.delay == 3 and g.step == 2
 
 
+# ---- the batched kernel against a per-cell reference ---------------------------
+
+
+def _reference_cell(es, p, theta, tau, n, n_d, j, k, kind, rescaled):
+    """One cell from two full transfer matrices and step-by-step relabelling."""
+    a = transfer_matrix(es, (n + n_d) * tau).u[j - 1]
+    b = transfer_matrix(es, n * tau).u[k - 1]
+    a = a[[q - 1 for q in _naive_compose(p, -(n + n_d))]]
+    b = b[[q - 1 for q in _naive_compose(p, -n)]]
+    if kind == "quantum":
+        vals = np.abs(np.einsum("r,s->rs", a, b) + np.einsum("s,r->rs", a, b)) ** 2
+        if j == k:
+            vals /= 2.0
+    else:
+        vals = np.abs(np.einsum("r,s->rs", a, b)) ** 2 + np.abs(np.einsum("s,r->rs", a, b)) ** 2
+    vals /= 1.0 + np.eye(es.n)
+    if not rescaled:
+        vals *= np.cos(theta) ** (4 * (n - 1)) * np.sin(theta) ** 4
+    return vals
+
+
+_SWEEP_DEVICES = (
+    (eigen_tridiagonal(9, omega=0.3), Permutation.mirror(9)),
+    (eigen_circulant(8, (0.0, 1.0, 0.4, 0.0, 0.0, 0.0, 0.4, 1.0)), Permutation.cyclic(8, 3)),
+)
+
+
+@pytest.mark.parametrize("device", range(len(_SWEEP_DEVICES)))
+@pytest.mark.parametrize(
+    "kind, n_d, j, k",
+    [("quantum", 0, 2, 5), ("quantum", 0, 4, 4), ("quantum", 2, 1, 6),
+     ("quantum", 3, 3, 3), ("classical", 0, 2, 7), ("classical", 0, 5, 5)],
+)
+@pytest.mark.parametrize("rescaled", [True, False])
+def test_sweep_matches_per_cell_reference(device, kind, n_d, j, k, rescaled):
+    es, p = _SWEEP_DEVICES[device]
+    theta, tau = 0.45, 0.8
+    steps = (0, 1, 2, 5, 11) if rescaled else (1, 2, 5, 11)
+    sweep = list(
+        correlation_sweep(es, p, theta, tau, steps, j, k, n_d=n_d, kind=kind, rescaled=rescaled)
+    )
+    assert [m.step for m in sweep] == list(steps)
+    for m in sweep:
+        assert (m.delay, m.inputs, m.kind, m.rescaled) == (n_d, (j, k), kind, rescaled)
+        ref = _reference_cell(es, p, theta, tau, m.step, n_d, j, k, kind, rescaled)
+        assert np.max(np.abs(m.values - ref)) <= 1e-15
+
+
+def test_sweep_cells_equal_one_step_calls():
+    es, p = eigen_tridiagonal(7), Permutation.mirror(7)
+    sweep = correlation_sweep(es, p, 0.5, 1.0, (1, 3), 2, 6, n_d=1, rescaled=False)
+    for m in sweep:
+        one = gamma_delayed(es, p, 0.5, 1.0, m.step, 1, 2, 6, rescaled=False)
+        assert np.array_equal(m.values, one.values)
+
+
+def test_sweep_checks_inputs_before_iterating():
+    es, p = _chain(4)
+    with pytest.raises(ConfigError):
+        correlation_sweep(es, p, 0.4, 1.0, (1, 0), 1, 2, rescaled=False)
+    with pytest.raises(ConfigError):
+        correlation_sweep(es, p, 0.4, 1.0, (1, 2), 1, 2, kind="bosonic", rescaled=True)
+    with pytest.raises(UnsupportedConfigError):
+        correlation_sweep(es, p, 0.4, 1.0, (1,), 1, 2, n_d=1, kind="classical", rescaled=True)
+    assert list(correlation_sweep(es, p, 0.4, 1.0, (), 1, 2, rescaled=True)) == []
+
+
 # ---- guards ------------------------------------------------------------------
+
+
+def non_commuting_device():
+    """A random exactly symmetric G with a shuffled loop permutation."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(8, 8))
+    perm = tuple(int(x) + 1 for x in rng.permutation(8))
+    return DeviceConfig(
+        topology="custom", n_modes=8, theta=0.5, custom_g=(a + a.T) / 2, custom_perm=perm
+    )
+
+
+def test_non_commuting_loop_refused():
+    cfg = non_commuting_device()
+    assert validate_device(cfg) == []
+    p = permutation_for(cfg)
+    assert np.max(np.abs(permute_modes(cfg.custom_g, p) - cfg.custom_g)) > 1.0
+    # why it is refused: the relabelled closed form drifts from the exact
+    # simulator once the walk has gone round the loop more than once
+    es = eigensystem_for(cfg)
+    run = simultaneous_run(cfg, 1, 3, 2)
+    diffs = [
+        np.max(np.abs(gamma_simultaneous(es, p, 0.5, 1.0, n, 1, 3, rescaled=False).values
+                      - run.transit_records[n - 1].coincidences))
+        for n in (1, 2)
+    ]
+    assert diffs[0] < 1e-15 and diffs[1] > 1e-3
+    with pytest.raises(UnsupportedConfigError, match="commutes"):
+        device_correlation(cfg, 1, 1, 3, rescaled=True)
+
+
+def test_commuting_custom_loop_accepted():
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(6, 6))
+    g = a + a.T
+    cfg = DeviceConfig(topology="custom", n_modes=6, theta=0.5, custom_g=g,
+                       custom_perm=(1, 2, 3, 4, 5, 6))
+    run = simultaneous_run(cfg, 2, 5, 3)
+    got = device_correlation(cfg, 3, 2, 5, rescaled=False).values
+    assert np.max(np.abs(got - run.transit_records[2].coincidences)) < 1e-15
+
 
 
 def test_per_guide_theta_rejected_by_closed_form():

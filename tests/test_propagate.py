@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopwalk.model import Permutation
 from loopwalk.propagate import compose, permute_modes, transfer_matrix
@@ -66,6 +68,34 @@ def test_compose_negative_power_is_inverse():
     p = Permutation.cyclic(7, 3)
     assert compose(p, -1).mapping == p.inverse().mapping
     assert compose(p, -2).mapping == compose(p.inverse(), 2).mapping
+
+
+def _naive_compose(p, n):
+    """p applied |n| times one step at a time (its inverse for n < 0)."""
+    base = p if n >= 0 else p.inverse()
+    out = list(range(1, p.n + 1))
+    for _ in range(abs(n)):
+        out = [base(j) for j in out]
+    return tuple(out)
+
+
+@st.composite
+def _permutations(draw):
+    size = draw(st.integers(min_value=1, max_value=40))
+    return Permutation(tuple(draw(st.permutations(range(1, size + 1)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_permutations(), n=st.integers(min_value=-60, max_value=60))
+def test_compose_matches_repeated_application(p, n):
+    assert compose(p, n).mapping == _naive_compose(p, n)
+
+
+def test_compose_large_power():
+    # cycles of lengths 1, 2, 3, 5 and 7, so p has order 210
+    p = Permutation((1, 3, 2, 5, 6, 4, 8, 9, 10, 11, 7, 13, 14, 15, 16, 17, 18, 12))
+    for n in (10**6, -(10**6)):
+        assert compose(p, n).mapping == _naive_compose(p, n % 210)
 
 
 def test_mirror_squares_to_identity():
