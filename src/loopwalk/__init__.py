@@ -36,7 +36,6 @@ from .correlations import (
     correlation_sweep,
     device_correlation,
     gamma_delayed,
-    gamma_one_step,
     gamma_simultaneous,
     invariant_modes,
     optimal_theta,
@@ -47,6 +46,7 @@ from .correlations import (
 from .fock_oracle import (
     PairBasis,
     PipelineResult,
+    StepOperators,
     StepRecord,
     TwoPhotonState,
     delayed_run,
@@ -82,7 +82,6 @@ __all__ = [
     "permute_modes",
     "correlation_sweep",
     "gamma_simultaneous",
-    "gamma_one_step",
     "gamma_delayed",
     "classical_p",
     "optimal_theta",
@@ -96,6 +95,7 @@ __all__ = [
     "pair_basis",
     "lift_to_two_photon",
     "TwoPhotonState",
+    "StepOperators",
     "StepRecord",
     "PipelineResult",
     "simultaneous_run",

@@ -32,12 +32,13 @@ from .correlations import (
     survival_prefactor,
 )
 from .feasibility import PhysicalParams, discreteness_check, loop_budget
-from .fock_oracle import delayed_run
+from .fock_oracle import StepOperators, delayed_run
 from .model import (
     ConfigError,
     DeviceConfig,
     NumericError,
     permutation_for,
+    uniform_angle,
     validate_device,
 )
 from .spectra import eigensystem_for
@@ -278,6 +279,9 @@ def cmd_correlate(args) -> int:
     thetas = _thetas_from_args(args)
     base_cfg = _device_from_args(args, thetas[0])
     _check_device(base_cfg)
+    if args.config:
+        # --theta is refused with --config, so the file's one angle is swept
+        thetas = (uniform_angle(base_cfg.theta),)
 
     steps = _parse_steps(args.steps)
     delays = _parse_int_list(args.delay)
@@ -327,12 +331,11 @@ def cmd_correlate(args) -> int:
     written = []
     oracle_cells = []  # (theta index, theta, matrix) of the cells --oracle checks
     for ti, theta in enumerate(thetas):
-        th = replace(base_cfg, theta=theta).uniform_theta()
         for nd in delays:
             for j, k in pairs:
                 for kind in kinds:
                     sweep = correlation_sweep(
-                        es, p, th, base_cfg.tau, steps, j, k,
+                        es, p, theta, base_cfg.tau, steps, j, k,
                         n_d=nd, kind=kind, rescaled=rescaled,
                     )
                     for matrix in sweep:
@@ -379,16 +382,24 @@ def _write_cell(cfg, theta, ti, matrix, formats, out_dir) -> list:
 
 def _oracle_compare(base_cfg, manifest, cells, out_dir) -> list:
     """Run the exact simulator once per (theta, delay, pair) and report the
-    worst entrywise difference for every quantum cell with n >= 1."""
+    worst entrywise difference for every quantum cell with n >= 1.
+
+    The runs of one theta share one set of step matrices; ``cells`` come
+    grouped by theta, so the set is replaced, never accumulated.
+    """
     max_step = max(manifest.steps)
     runs = {}
+    operators, operators_ti = None, None
     entries = []
     written = []
     for ti, theta, matrix in cells:
         n, nd, (j, k) = matrix.step, matrix.delay, matrix.inputs
         key = (ti, nd, (j, k))
         if key not in runs:
-            runs[key] = delayed_run(replace(base_cfg, theta=theta), j, k, nd, max_step)
+            if operators_ti != ti:
+                operators = StepOperators(replace(base_cfg, theta=theta))
+                operators_ti = ti
+            runs[key] = delayed_run(operators.cfg, j, k, nd, max_step, operators=operators)
         run = runs[key]
         physical = run.transit_records[n - 1].coincidences
         oracle_vals = physical / survival_prefactor(theta, n) if manifest.rescaled else physical

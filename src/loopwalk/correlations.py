@@ -41,24 +41,15 @@ from .model import (
     Permutation,
     UnsupportedConfigError,
     permutation_for,
+    uniform_angle,
 )
 from .propagate import compose, permute_modes
 from .spectra import coupling_for, eigensystem_for
 
 
-def _uniform(theta) -> float:
-    """Closed forms assume one angle across the coupler bank."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not np.all(th == th[0]):
-        raise UnsupportedConfigError(
-            f"closed-form correlations require a uniform coupler angle, got {theta!r}"
-        )
-    return float(th[0])
-
-
 def survival_prefactor(theta, n: int) -> float:
     """cos^(4(n-1)) sin^4: two photons surviving n-1 couplers, then exiting."""
-    th = _uniform(theta)
+    th = uniform_angle(theta)
     if n < 1:
         raise ConfigError(f"survival prefactor needs n >= 1, got n = {n}")
     return math.cos(th) ** (4 * (n - 1)) * math.sin(th) ** 4
@@ -110,7 +101,7 @@ def correlation_sweep(
             raise ConfigError(f"transit count must be >= 0, got {n}")
         if n == 0 and not rescaled:
             raise ConfigError("the n = 0 snapshot exists only as rescaled output")
-    th = _uniform(theta)
+    th = uniform_angle(theta)
 
     # photon one's row at steps n + n_d, then photon two's at steps n; the
     # stack always has >= 2 rows, so matmul stays a gemm and each row is
@@ -163,13 +154,6 @@ def gamma_simultaneous(
     physical prefactor counts coupler passes that have not happened yet).
     """
     return next(correlation_sweep(es, p, theta, tau, (n,), j, k, rescaled=rescaled))
-
-
-def gamma_one_step(
-    es: EigenSystem, p: Permutation, theta, tau: float, j: int, k: int, *, rescaled: bool
-) -> CorrelationMatrix:
-    """Single-transit coincidences; exactly gamma_simultaneous with n = 1."""
-    return gamma_simultaneous(es, p, theta, tau, 1, j, k, rescaled=rescaled)
 
 
 def classical_p(
@@ -373,7 +357,7 @@ def two_photon_invariant_check(
     :func:`invariant_modes`); passing uncertified vectors with the flag
     set raises ValueError.  Disable it to probe arbitrary states.
     """
-    th = _uniform(theta)
+    th = uniform_angle(theta)
     n = es.n
     pa = np.asarray(phi_a, dtype=complex)
     pb = np.asarray(phi_b, dtype=complex)
@@ -454,6 +438,6 @@ def device_correlation(
     p = require_commuting_loop(cfg)
     es = eigensystem_for(cfg)
     sweep = correlation_sweep(
-        es, p, cfg.uniform_theta(), cfg.tau, (n,), j, k, n_d=n_d, kind=kind, rescaled=rescaled
+        es, p, cfg.theta, cfg.tau, (n,), j, k, n_d=n_d, kind=kind, rescaled=rescaled
     )
     return next(sweep)

@@ -294,6 +294,32 @@ def single_particle_step_matrix(step: PipelineStep, cfg: DeviceConfig) -> np.nda
 # ---- pipeline runner --------------------------------------------------------
 
 
+class StepOperators:
+    """One- and two-photon matrices of the linear steps of one device.
+
+    Evolve, Permute and Couple depend only on the device and its coupler
+    angles, so runs of several schedules on the same ``cfg`` may share one
+    holder; each matrix is built on first use and then kept.  A lifted
+    two-photon matrix is dim x dim complex with dim = N(2N+1), so a holder
+    keeps at most three of them alive.
+    """
+
+    def __init__(self, cfg: DeviceConfig):
+        self.cfg = cfg
+        self.singles: dict[PipelineStep, np.ndarray] = {}
+        self.lifted: dict[PipelineStep, np.ndarray] = {}
+
+    def one_photon(self, step: PipelineStep) -> np.ndarray:
+        if step not in self.singles:
+            self.singles[step] = single_particle_step_matrix(step, self.cfg)
+        return self.singles[step]
+
+    def two_photon(self, step: PipelineStep) -> np.ndarray:
+        if step not in self.lifted:
+            self.lifted[step] = lift_to_two_photon(self.one_photon(step))
+        return self.lifted[step]
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """Outcome of one vacuum projection.
@@ -348,12 +374,16 @@ def run_pipeline(
     cfg: DeviceConfig,
     schedule,
     initial_state: TwoPhotonState | None = None,
+    *,
+    operators: StepOperators | None = None,
 ) -> PipelineResult:
     """Propagate photon-number states through an explicit step schedule.
 
     Exactly two photons must enter the run, either through the initial
     state or through InjectB steps; anything else is a ConfigError.  One
-    StepRecord is emitted per ProjectBVacuum step.
+    StepRecord is emitted per ProjectBVacuum step.  ``operators`` shares
+    the step matrices of a :class:`StepOperators` built for this very
+    ``cfg`` object; without it the run builds its own.
     """
     n = cfg.n_modes
     total = 2 * n
@@ -375,18 +405,10 @@ def run_pipeline(
         if isinstance(s, InjectB) and not 1 <= s.mode <= n:
             raise ConfigError(f"injection mode {s.mode} out of range 1..{n}")
 
-    singles: dict[str, np.ndarray] = {}
-    lifted: dict[str, np.ndarray] = {}
-
-    def one_photon_matrix(kind: str, step) -> np.ndarray:
-        if kind not in singles:
-            singles[kind] = single_particle_step_matrix(step, cfg)
-        return singles[kind]
-
-    def two_photon_matrix(kind: str, step) -> np.ndarray:
-        if kind not in lifted:
-            lifted[kind] = lift_to_two_photon(one_photon_matrix(kind, step))
-        return lifted[kind]
+    if operators is None:
+        operators = StepOperators(cfg)
+    elif operators.cfg is not cfg:
+        raise ConfigError("step operators were built for another DeviceConfig object")
 
     nphot = 2 if initial_state is not None else 0
     vec = np.array(initial_state.amps, dtype=complex) if initial_state is not None else None
@@ -401,12 +423,11 @@ def run_pipeline(
     proj_count = 0
 
     for step in schedule:
-        kind = type(step).__name__.lower()
         if isinstance(step, (Evolve, Permute, Couple)):
             if nphot == 1:
-                vec = one_photon_matrix(kind, step) @ vec
+                vec = operators.one_photon(step) @ vec
             elif nphot == 2:
-                vec = two_photon_matrix(kind, step) @ vec
+                vec = operators.two_photon(step) @ vec
         elif isinstance(step, InjectB):
             q = n + step.mode - 1
             if nphot == 0:
@@ -506,9 +527,15 @@ def simultaneous_run(cfg: DeviceConfig, j: int, k: int, n_steps: int) -> Pipelin
 
 
 def delayed_run(
-    cfg: DeviceConfig, j: int, k: int, delay: int, n_steps: int
+    cfg: DeviceConfig,
+    j: int,
+    k: int,
+    delay: int,
+    n_steps: int,
+    *,
+    operators: StepOperators | None = None,
 ) -> PipelineResult:
-    return run_pipeline(cfg, delayed_schedule(j, k, delay, n_steps))
+    return run_pipeline(cfg, delayed_schedule(j, k, delay, n_steps), operators=operators)
 
 
 def state_run(cfg: DeviceConfig, state: TwoPhotonState, n_steps: int) -> PipelineResult:

@@ -216,6 +216,21 @@ _DEVICE_KEYS = {
 }
 
 
+def uniform_angle(theta) -> float:
+    """The one coupler angle of ``theta`` (a scalar or one per guide).
+
+    Closed-form correlation expressions assume one angle for the whole
+    coupler bank, so paths that need it call this rather than taking
+    theta[0] silently; differing angles raise UnsupportedConfigError.
+    """
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    if th.size == 0 or not np.all(th == th[0]):
+        raise UnsupportedConfigError(
+            f"closed-form expressions require a uniform coupler angle, got {theta!r}"
+        )
+    return float(th[0])
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     """Complete description of one looped-array experiment.
@@ -255,21 +270,6 @@ class DeviceConfig:
             object.__setattr__(
                 self, "custom_perm", tuple(int(v) for v in self.custom_perm)
             )
-
-    def uniform_theta(self) -> float:
-        """The common coupler angle; raises if guides differ.
-
-        Closed-form correlation expressions assume one angle for the whole
-        coupler bank, so paths that need it call this rather than taking
-        theta[0] silently.
-        """
-        th = np.asarray(self.theta, dtype=float)
-        if th.size == 0 or not np.all(th == th[0]):
-            raise UnsupportedConfigError(
-                "closed-form expressions require a uniform coupler angle; "
-                f"got per-guide theta {self.theta}"
-            )
-        return float(th[0])
 
     # -- JSON round trip --
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import loopwalk.fock_oracle as fock_oracle
 from loopwalk.cli import _parse_pairs, _parse_steps, _write_pgm, main
 from loopwalk.model import ConfigError, CorrelationMatrix, EigenSystem
 from test_correlations import non_commuting_device
@@ -291,6 +292,52 @@ def test_config_file_conflicts_with_flags(tmp_path):
         "correlate", "--config", str(cfile), "--n-modes", "5", "--steps", "1",
     )
     assert code == 2
+
+
+def test_config_file_theta_is_swept(tmp_path):
+    cfile = tmp_path / "dev.json"
+    cfile.write_text('{"topology": "cylinder", "n_modes": 7, "theta": 0.3}')
+    code, out = run(
+        tmp_path,
+        "correlate", "--config", str(cfile), "--inputs", "1,4", "--steps", "1..2",
+        "--physical", "--formats", "json",
+    )
+    assert code == 0
+    for n in (1, 2):
+        cell = json.loads((out / f"corr_quantum_phys_th0_nd0_n{n}_j1k4.json").read_text())
+        assert cell["theta"] == 0.3
+        mass = np.triu(np.array(cell["values"])).sum()
+        assert abs(mass - np.cos(0.3) ** (4 * (n - 1)) * np.sin(0.3) ** 4) < 1e-12
+    assert json.loads((out / "manifest.json").read_text())["thetas"] == [0.3]
+
+
+def test_config_file_per_guide_theta_is_config_error(tmp_path):
+    cfile = tmp_path / "dev.json"
+    cfile.write_text('{"topology": "cylinder", "n_modes": 3, "theta": [0.1, 0.2, 0.3]}')
+    code, out = run(tmp_path, "correlate", "--config", str(cfile), "--inputs", "1,3")
+    assert code == 2
+    assert not out.exists()
+
+
+def test_oracle_lifts_step_matrices_once_per_theta(tmp_path, monkeypatch):
+    calls = []
+    real = fock_oracle.lift_to_two_photon
+
+    def counting(u):
+        calls.append(u.shape)
+        return real(u)
+
+    monkeypatch.setattr(fock_oracle, "lift_to_two_photon", counting)
+    code, out = run(
+        tmp_path,
+        "correlate", "--topology", "moebius", "--n-modes", "6", "--theta", "0.5,0.9",
+        "--inputs", "1,4;2,5", "--steps", "1..2", "--delay", "0,1", "--oracle",
+    )
+    assert code == 0
+    # 2 thetas x 3 step kinds; one run per (theta, delay, pair) would lift 24
+    assert len(calls) == 6
+    report = json.loads((out / "oracle_diff.json").read_text())
+    assert len(report["entries"]) == 2 * 2 * 2 * 2
 
 
 # ---- pgm writer ------------------------------------------------------------------

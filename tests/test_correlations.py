@@ -6,7 +6,6 @@ from loopwalk.correlations import (
     correlation_sweep,
     device_correlation,
     gamma_delayed,
-    gamma_one_step,
     gamma_simultaneous,
     invariant_modes,
     optimal_theta,
@@ -59,13 +58,6 @@ def test_physical_scale_is_entry_probability_at_first_transit():
     es, p = _chain(2)
     g = gamma_simultaneous(es, p, Q, Q, 1, 1, 2, rescaled=False)
     assert abs(g.values[0, 0] - 0.5 * np.sin(Q) ** 4) < 1e-14
-
-
-def test_one_step_alias_is_bitwise():
-    es, p = _chain(7)
-    a = gamma_simultaneous(es, p, 0.6, 1.0, 1, 2, 5, rescaled=True)
-    b = gamma_one_step(es, p, 0.6, 1.0, 2, 5, rescaled=True)
-    assert np.array_equal(a.values, b.values)
 
 
 # ---- prefactor and optimal angle ----------------------------------------------

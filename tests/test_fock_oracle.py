@@ -7,6 +7,7 @@ from loopwalk.fock_oracle import (
     InjectB,
     Permute,
     ProjectBVacuum,
+    StepOperators,
     TwoPhotonState,
     _expm,
     delayed_run,
@@ -221,3 +222,34 @@ def test_transit_schedule_layout():
         "Evolve", "Permute", "Couple", "ProjectBVacuum",
     ]
     assert not any(s.renormalize for s in sched if isinstance(s, ProjectBVacuum))
+
+
+# ---- shared step operators ------------------------------------------------------
+
+
+def _twisted(n=12, theta=0.6):
+    g = [0.0] * n
+    g[1] = g[-1] = 1.0
+    return DeviceConfig(
+        topology="twisted_circle", n_modes=n, theta=theta, shift_c=5, g_vector=tuple(g)
+    )
+
+
+def test_shared_operators_match_fresh_runs():
+    cfg = _twisted()
+    ops = StepOperators(cfg)
+    for j, k, nd in ((1, 7, 0), (3, 12, 2), (2, 5, 1)):
+        shared = delayed_run(cfg, j, k, nd, 3, operators=ops)
+        fresh = delayed_run(cfg, j, k, nd, 3)
+        assert len(shared.records) == len(fresh.records)
+        for a, b in zip(shared.records, fresh.records):
+            assert np.array_equal(a.coincidences, b.coincidences)
+            assert a.post_selection_prob == b.post_selection_prob
+        assert np.array_equal(shared.final_state.amps, fresh.final_state.amps)
+    assert set(ops.lifted) == {Evolve(), Permute(), Couple()}
+
+
+def test_operators_of_another_device_refused():
+    ops = StepOperators(_twisted())
+    with pytest.raises(ConfigError, match="another DeviceConfig"):
+        delayed_run(_twisted(), 1, 7, 0, 1, operators=ops)

@@ -12,6 +12,7 @@ from loopwalk.model import (
     Permutation,
     UnsupportedConfigError,
     permutation_for,
+    uniform_angle,
     validate_device,
 )
 
@@ -153,13 +154,13 @@ def test_eigensystem_dict_round_trip():
 def test_theta_broadcast_and_uniform():
     cfg = DeviceConfig(topology="cylinder", n_modes=4, theta=0.3)
     assert cfg.theta == (0.3, 0.3, 0.3, 0.3)
-    assert cfg.uniform_theta() == 0.3
+    assert uniform_angle(cfg.theta) == 0.3
 
 
 def test_per_guide_theta_blocks_closed_form():
     cfg = DeviceConfig(topology="cylinder", n_modes=3, theta=(0.1, 0.2, 0.3))
     with pytest.raises(UnsupportedConfigError):
-        cfg.uniform_theta()
+        uniform_angle(cfg.theta)
 
 
 @pytest.mark.parametrize(
