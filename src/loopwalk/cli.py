@@ -63,7 +63,7 @@ class RunManifest:
     rescaled: bool
     formats: tuple[str, ...]
     out_dir: str
-    seed: int
+    seed: int  # recorded only: nothing in a run is random
     tool_version: str
     oracle: bool
 
@@ -102,6 +102,12 @@ class RunManifest:
 # ---- small parsers ----------------------------------------------------------
 
 
+def _unique(items) -> tuple:
+    """Items with repeats dropped, in first-seen order: a repeated sweep
+    entry would recompute and rewrite the same cells."""
+    return tuple(dict.fromkeys(items))
+
+
 def _parse_steps(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
@@ -114,14 +120,9 @@ def _parse_steps(text: str) -> tuple[int, ...]:
             raise ConfigError(f"empty step range {text!r}")
         return tuple(range(lo_i, hi_i + 1))
     try:
-        steps = tuple(int(s) for s in text.split(","))
+        return _unique(int(s) for s in text.split(","))
     except ValueError:
         raise ConfigError(f"bad step list {text!r}")
-    seen: list[int] = []
-    for s in steps:
-        if s not in seen:
-            seen.append(s)
-    return tuple(seen)
 
 
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -134,7 +135,7 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ConfigError(f"input pair {chunk!r} is not of the form j,k")
-    return tuple(pairs)
+    return _unique(pairs)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -231,20 +232,26 @@ def _out_dir(args) -> str:
 
 def _write_json(path: str, payload: dict):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, values: np.ndarray):
+    lines = ["r,s,value\n"]
+    for r, row in enumerate(values.tolist(), start=1):
+        lines.extend(f"{r},{s},{v:.17g}\n" for s, v in enumerate(row, start=1))
     with open(path, "w") as fh:
-        fh.write("r,s,value\n")
-        n = values.shape[0]
-        for r in range(n):
-            for s in range(n):
-                fh.write(f"{r + 1},{s + 1},{values[r, s]:.17g}\n")
+        fh.write("".join(lines))
 
 
-_GREY = tuple(str(v) for v in range(256))
+def _grey_table(sep: str) -> np.ndarray:
+    """Entry v holds the ASCII digits of v then ``sep``, NUL-padded to 4 bytes."""
+    cells = b"".join(f"{v}{sep}".encode("ascii").ljust(4, b"\0") for v in range(256))
+    return np.frombuffer(cells, dtype=np.uint32)
+
+
+_GREY_SP = _grey_table(" ")
+_GREY_NL = _grey_table("\n")
+_PGM_PER_LINE = 15  # 15 values of at most 4 chars keep lines under the 70-char limit
 
 
 def _write_pgm(path: str, values: np.ndarray):
@@ -253,12 +260,13 @@ def _write_pgm(path: str, values: np.ndarray):
         grey = np.rint(values / vmax * 255.0).astype(int)
     else:
         grey = np.zeros_like(values, dtype=int)
-    lines = ["P2", f"{values.shape[1]} {values.shape[0]}", "255"]
-    flat = [_GREY[v] for v in grey.ravel().tolist()]
-    for i in range(0, len(flat), 15):  # keep lines under the 70-char format limit
-        lines.append(" ".join(flat[i : i + 15]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    flat = grey.ravel()
+    body = _GREY_SP[flat]
+    body[_PGM_PER_LINE - 1 :: _PGM_PER_LINE] = _GREY_NL[flat[_PGM_PER_LINE - 1 :: _PGM_PER_LINE]]
+    body[-1] = _GREY_NL[flat[-1]]
+    header = f"P2\n{values.shape[1]} {values.shape[0]}\n255\n".encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(header + body.tobytes().translate(None, b"\0"))
 
 
 def _log_line(out_dir: str, message: str):
@@ -284,7 +292,7 @@ def cmd_correlate(args) -> int:
         thetas = (uniform_angle(base_cfg.theta),)
 
     steps = _parse_steps(args.steps)
-    delays = _parse_int_list(args.delay)
+    delays = _unique(_parse_int_list(args.delay))
     pairs = _parse_pairs(args.inputs)
     rescaled = not args.physical
     kinds = ("quantum", "classical") if args.kind == "both" else (args.kind,)
@@ -310,7 +318,6 @@ def cmd_correlate(args) -> int:
     es = eigensystem_for(base_cfg)
 
     out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
     formats = tuple(args.formats.split(","))
 
     manifest = RunManifest(
@@ -327,6 +334,8 @@ def cmd_correlate(args) -> int:
         tool_version=__version__,
         oracle=bool(args.oracle),
     )
+    # created only once every input has been checked, so a refused run leaves nothing
+    os.makedirs(out_dir, exist_ok=True)
 
     written = []
     oracle_cells = []  # (theta index, theta, matrix) of the cells --oracle checks
@@ -546,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also run the exact Fock simulator and report differences")
     corr.add_argument("--formats", default="csv,json", help="comma list from csv,json,pgm")
     corr.add_argument("--out", help="output directory (default $QWALK_OUT or ./qwalk_out)")
-    corr.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
+    corr.add_argument("--seed", type=int, default=0,
+                      help="recorded in the manifest only; nothing in a run is random")
     corr.set_defaults(func=cmd_correlate)
 
     spec = subs.add_parser("spectra", help="eigenvalues and eigenvectors of a device")

@@ -43,7 +43,7 @@ from .model import (
     permutation_for,
     uniform_angle,
 )
-from .propagate import compose, permute_modes
+from .propagate import compose, order, permute_modes
 from .spectra import coupling_for, eigensystem_for
 
 
@@ -113,12 +113,16 @@ def correlation_sweep(
     phases = np.exp((-1j * es.eigenvalues)[None, :] * t[:, None])
     half = len(steps)
     rows = np.concatenate((v[j - 1] * phases[:half], v[k - 1] * phases[half:])) @ v.conj().T
-    # detector d reads mode q(d), q the inverse of the m-fold relabelling
-    wiring = {m: compose(p, -m).zero_based() for m in set(counts)}
+    # detector d reads mode q(d), q the inverse of the m-fold relabelling;
+    # q depends on m only through m mod the order of p
+    period = order(p)
+    wiring = {r: compose(p, -r).zero_based() for r in {m % period for m in counts}}
 
     def matrices():
         for i, n in enumerate(steps):
-            cross = np.outer(rows[i, wiring[n + n_d]], rows[half + i, wiring[n]])
+            cross = np.outer(
+                rows[i, wiring[(n + n_d) % period]], rows[half + i, wiring[n % period]]
+            )
             if kind == "quantum":
                 amp_sq = np.abs(cross + cross.T) ** 2
             else:

@@ -8,6 +8,7 @@ symmetric, U(t) is symmetric as well as unitary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,34 @@ def transfer_matrix(es: EigenSystem, t: float) -> TransferMatrix:
     return TransferMatrix(float(t), u)
 
 
+def _cycles(p: Permutation) -> list[list[int]]:
+    """The cycles of p as lists of 0-based indices, each in the order p
+    visits them."""
+    mapping = p.mapping
+    seen = [False] * p.n
+    cycles = []
+    for start in range(p.n):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        nxt = mapping[start] - 1
+        while nxt != start:
+            cycle.append(nxt)
+            seen[nxt] = True
+            nxt = mapping[nxt] - 1
+        cycles.append(cycle)
+    return cycles
+
+
+def order(p: Permutation) -> int:
+    """Smallest m >= 1 with p^m the identity: the lcm of the cycle lengths.
+
+    compose(p, n) depends only on n mod order(p).
+    """
+    return math.lcm(*(len(cycle) for cycle in _cycles(p)))
+
+
 def compose(p: Permutation, n: int) -> Permutation:
     """p applied n times; negative n composes the inverse, n = 0 is identity.
 
@@ -49,16 +78,8 @@ def compose(p: Permutation, n: int) -> Permutation:
     element n mod L places along it, so the cost is O(N) for any n.
     """
     n = int(n)
-    mapping = p.mapping
     out = [0] * p.n
-    for start in range(p.n):
-        if out[start]:
-            continue
-        cycle = [start]
-        nxt = mapping[start] - 1
-        while nxt != start:
-            cycle.append(nxt)
-            nxt = mapping[nxt] - 1
+    for cycle in _cycles(p):
         length = len(cycle)
         shift = n % length  # Python's modulo is non-negative, so n < 0 runs backwards
         for pos, idx in enumerate(cycle):

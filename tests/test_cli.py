@@ -1,11 +1,15 @@
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import loopwalk.fock_oracle as fock_oracle
-from loopwalk.cli import _parse_pairs, _parse_steps, _write_pgm, main
+from loopwalk.cli import _parse_pairs, _parse_steps, _write_csv, _write_json, _write_pgm, main
 from loopwalk.model import ConfigError, CorrelationMatrix, EigenSystem
 from test_correlations import non_commuting_device
 
@@ -32,6 +36,7 @@ def test_parse_steps_range_and_list():
 def test_parse_pairs():
     assert _parse_pairs("1,7") == ((1, 7),)
     assert _parse_pairs("1,7;3,5") == ((1, 7), (3, 5))
+    assert _parse_pairs("3,5;1,7;3,5") == ((3, 5), (1, 7))
     with pytest.raises(ConfigError):
         _parse_pairs("1,2,3")
 
@@ -100,6 +105,25 @@ def test_multiple_input_pairs_and_delays(tmp_path):
     for nd in (0, 1):
         for j, k in ((1, 4), (2, 5)):
             assert f"corr_quantum_resc_th0_nd{nd}_n1_j{j}k{k}.json" in names
+
+
+def test_repeated_sweep_entries_are_dropped(tmp_path, capsys):
+    code, out = run(
+        tmp_path,
+        "correlate", "--n-modes", "8", "--inputs", "1,7;1,7;2,3;1,7",
+        "--delay", "0,0", "--steps", "0..1", "--formats", "csv",
+    )
+    assert code == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(
+        [f"corr_quantum_resc_th0_nd0_n{n}_j{j}k{k}.csv" for n in (0, 1) for j, k in ((1, 7), (2, 3))]
+        + ["manifest.json", "run.log"]
+    )
+    # the printed count covers every file but run.log
+    assert f"wrote {len(names) - 1} files" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input_pairs"] == [[1, 7], [2, 3]]
+    assert manifest["delays"] == [0]
 
 
 def test_runs_are_byte_identical(tmp_path):
@@ -175,8 +199,12 @@ def test_classical_delayed_is_config_error(tmp_path):
 
 
 def test_bad_format_is_config_error(tmp_path):
-    code, _ = run(tmp_path, "correlate", "--steps", "1", "--formats", "csv,bmp")
+    code, out = run(tmp_path, "correlate", "--steps", "1", "--formats", "csv,bmp")
     assert code == 2
+    assert not out.exists()
+    code, out = run(tmp_path, "correlate", "--steps", "1", "--formats", "png")
+    assert code == 2
+    assert not out.exists()
 
 
 def test_dead_coupler_oracle_is_numeric_error(tmp_path):
@@ -338,6 +366,99 @@ def test_oracle_lifts_step_matrices_once_per_theta(tmp_path, monkeypatch):
     assert len(calls) == 6
     report = json.loads((out / "oracle_diff.json").read_text())
     assert len(report["entries"]) == 2 * 2 * 2 * 2
+
+
+# ---- writers against reference formatters -------------------------------------
+# Each reference is the plain formatting loop the writer replaces; the
+# writers must produce the same bytes.
+
+
+def _reference_pgm(values):
+    vmax = float(values.max())
+    if vmax > 0.0:
+        grey = np.rint(values / vmax * 255.0).astype(int)
+    else:
+        grey = np.zeros_like(values, dtype=int)
+    lines = ["P2", f"{values.shape[1]} {values.shape[0]}", "255"]
+    flat = [str(v) for v in grey.ravel().tolist()]
+    for i in range(0, len(flat), 15):
+        lines.append(" ".join(flat[i : i + 15]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _reference_csv(values):
+    text = "r,s,value\n"
+    n = values.shape[0]
+    for r in range(n):
+        for s in range(n):
+            text += f"{r + 1},{s + 1},{values[r, s]:.17g}\n"
+    return text.encode()
+
+
+def _reference_json(payload):
+    buf = io.StringIO()
+    json.dump(payload, buf, indent=2, sort_keys=True)
+    buf.write("\n")
+    return buf.getvalue().encode()
+
+
+def _pattern(n, fill, seed):
+    rng = np.random.default_rng(seed)
+    if fill == "zero":
+        return np.zeros((n, n))
+    if fill == "hot":
+        values = np.zeros((n, n))
+        values[rng.integers(n), rng.integers(n)] = rng.uniform(1e-300, 1.0)
+        return values
+    values = rng.uniform(0.0, 1.0, size=(n, n)) ** 3
+    values[rng.uniform(size=(n, n)) < 0.2] = 0.0
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=70),
+    fill=st.sampled_from(["random", "zero", "hot"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# N^2 a multiple of 15 (the last line is full) and not
+@example(n=1, fill="random", seed=0)
+@example(n=15, fill="random", seed=1)
+@example(n=30, fill="hot", seed=2)
+@example(n=16, fill="zero", seed=3)
+@example(n=7, fill="random", seed=4)
+def test_pgm_matches_reference(n, fill, seed, tmp_path_factory):
+    values = _pattern(n, fill, seed)
+    path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+    _write_pgm(str(path), values)
+    data = path.read_bytes()
+    assert data == _reference_pgm(values)
+    assert max(len(line) for line in data.split(b"\n")) <= 70
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: hnp.arrays(np.float64, (n, n), elements=st.floats(allow_subnormal=True))
+    )
+)
+def test_csv_matches_reference(values, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    _write_csv(str(path), values)
+    assert path.read_bytes() == _reference_csv(values)
+
+
+def test_csv_and_json_match_reference_on_a_cell(tmp_path):
+    values = _pattern(30, "random", 5)
+    _write_csv(str(tmp_path / "m.csv"), values)
+    assert (tmp_path / "m.csv").read_bytes() == _reference_csv(values)
+    payload = {
+        "values": values.tolist(), "theta": 0.1, "step": 3, "inputs": [1, 7],
+        "record": "correlation_matrix", "nested": {"b": [1.5e-300, -0.0], "a": None},
+        "text": "Möbius", "nan": float("nan"),
+    }
+    _write_json(str(tmp_path / "m.json"), payload)
+    assert (tmp_path / "m.json").read_bytes() == _reference_json(payload)
 
 
 # ---- pgm writer ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loopwalk import correlations
 from loopwalk.correlations import (
     classical_p,
     correlation_sweep,
@@ -269,6 +270,46 @@ def test_sweep_cells_equal_one_step_calls():
     for m in sweep:
         one = gamma_delayed(es, p, 0.5, 1.0, m.step, 1, 2, 6, rescaled=False)
         assert np.array_equal(m.values, one.values)
+
+
+_RESIDUE_DEVICES = (
+    # odd N: the mirror has cycles of lengths 1 and 2, order 2
+    (eigen_tridiagonal(9, omega=0.3), Permutation.mirror(9)),
+    # gcd(8, 12) = 4: four 3-cycles, order 3
+    (eigen_circulant(12, (0.0, 1.0, 0.3) + (0.0,) * 7 + (0.3, 1.0)), Permutation.cyclic(12, 8)),
+)
+
+
+@pytest.mark.parametrize("device", range(len(_RESIDUE_DEVICES)))
+@pytest.mark.parametrize("kind, n_d", [("quantum", 0), ("quantum", 3), ("classical", 0)])
+def test_sweep_wiring_by_residue_is_bitwise(device, kind, n_d, monkeypatch):
+    es, p = _RESIDUE_DEVICES[device]
+    steps = (0, 1, 2, 3, 4, 5, 997, 10**6)
+    args = (es, p, 0.45, 0.8, steps, 2, 7)
+    fast = list(correlation_sweep(*args, n_d=n_d, kind=kind, rescaled=True))
+    # a period no count reaches gives every count its own compose(p, -m)
+    monkeypatch.setattr(correlations, "order", lambda p: 10**18)
+    slow = list(correlation_sweep(*args, n_d=n_d, kind=kind, rescaled=True))
+    assert [m.step for m in fast] == list(steps)
+    for a, b in zip(fast, slow):
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("device, calls", [(0, 2), (1, 3)])
+def test_sweep_composes_once_per_residue(device, calls, monkeypatch):
+    es, p = _RESIDUE_DEVICES[device]
+    powers = []
+    real = correlations.compose
+
+    def counting(p, n):
+        powers.append(n)
+        return real(p, n)
+
+    monkeypatch.setattr(correlations, "compose", counting)
+    for kind in ("quantum", "classical"):
+        powers.clear()
+        list(correlation_sweep(es, p, 0.45, 0.8, range(201), 1, 7, kind=kind, rescaled=True))
+        assert len(powers) == calls
 
 
 def test_sweep_checks_inputs_before_iterating():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopwalk.model import Permutation
-from loopwalk.propagate import compose, permute_modes, transfer_matrix
+from loopwalk.propagate import compose, order, permute_modes, transfer_matrix
 from loopwalk.spectra import eigen_circulant, eigen_tridiagonal
 
 
@@ -91,9 +91,26 @@ def test_compose_matches_repeated_application(p, n):
     assert compose(p, n).mapping == _naive_compose(p, n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=_permutations(), n=st.integers(min_value=-(10**6), max_value=10**6))
+def test_compose_depends_on_power_mod_order(p, n):
+    m = order(p)
+    assert compose(p, m).is_identity()
+    assert all(not compose(p, d).is_identity() for d in range(1, m) if m % d == 0)
+    assert compose(p, n).mapping == compose(p, n % m).mapping
+
+
+def test_order_known_permutations():
+    assert order(Permutation.identity(5)) == 1
+    assert order(Permutation.mirror(9)) == 2
+    assert order(Permutation.cyclic(12, 8)) == 3
+    assert order(Permutation.cyclic(7, 3)) == 7
+
+
 def test_compose_large_power():
     # cycles of lengths 1, 2, 3, 5 and 7, so p has order 210
     p = Permutation((1, 3, 2, 5, 6, 4, 8, 9, 10, 11, 7, 13, 14, 15, 16, 17, 18, 12))
+    assert order(p) == 210
     for n in (10**6, -(10**6)):
         assert compose(p, n).mapping == _naive_compose(p, n % 210)
 
