@@ -32,11 +32,8 @@ from .spectra import (
 from .propagate import TransferMatrix, compose, permute_modes, transfer_matrix
 from .correlations import (
     InvariantSubspace,
-    classical_p,
     correlation_sweep,
     device_correlation,
-    gamma_delayed,
-    gamma_simultaneous,
     invariant_modes,
     optimal_theta,
     survival_prefactor,
@@ -52,7 +49,6 @@ from .fock_oracle import (
     delayed_run,
     lift_to_two_photon,
     pair_basis,
-    simultaneous_run,
     state_run,
 )
 from .feasibility import PhysicalParams, discreteness_check, loop_budget
@@ -81,9 +77,6 @@ __all__ = [
     "compose",
     "permute_modes",
     "correlation_sweep",
-    "gamma_simultaneous",
-    "gamma_delayed",
-    "classical_p",
     "optimal_theta",
     "survival_prefactor",
     "symmetry_map",
@@ -98,7 +91,6 @@ __all__ = [
     "StepOperators",
     "StepRecord",
     "PipelineResult",
-    "simultaneous_run",
     "delayed_run",
     "state_run",
     "PhysicalParams",

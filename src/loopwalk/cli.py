@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .correlations import (
+    check_sweep,
     correlation_sweep,
     invariant_modes,
     optimal_theta,
@@ -297,21 +298,9 @@ def cmd_correlate(args) -> int:
     rescaled = not args.physical
     kinds = ("quantum", "classical") if args.kind == "both" else (args.kind,)
 
-    for n in steps:
-        if n < 0:
-            raise ConfigError(f"steps must be >= 0, got {n}")
-        if n == 0 and not rescaled:
-            raise ConfigError("step 0 is defined only for rescaled output (drop --physical)")
-    for nd in delays:
-        if nd < 0:
-            raise ConfigError(f"delays must be >= 0, got {nd}")
-        if nd > 0 and "classical" in kinds:
-            raise ConfigError("classical correlations are only defined for simultaneous input")
-    for j, k in pairs:
-        if not (1 <= j <= base_cfg.n_modes and 1 <= k <= base_cfg.n_modes):
-            raise ConfigError(f"inputs ({j}, {k}) out of range 1..{base_cfg.n_modes}")
-        if args.oracle and j == k:
-            raise ConfigError("oracle comparison needs distinct input guides")
+    check_sweep(base_cfg.n_modes, steps, pairs, delays, kinds, rescaled=rescaled)
+    if args.oracle and any(j == k for j, k in pairs):
+        raise ConfigError("oracle comparison needs distinct input guides")
 
     # the eigensystem and the loop relabelling do not depend on theta
     p = require_commuting_loop(base_cfg)
@@ -338,10 +327,16 @@ def cmd_correlate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     written = []
-    oracle_cells = []  # (theta index, theta, matrix) of the cells --oracle checks
+    oracle_entries = []
+    max_step = max(steps)
     for ti, theta in enumerate(thetas):
+        # the oracle runs of one theta share its lifted step matrices
+        operators = StepOperators(replace(base_cfg, theta=theta)) if args.oracle else None
         for nd in delays:
             for j, k in pairs:
+                run = None
+                if operators is not None and "quantum" in kinds and max_step >= 1:
+                    run = delayed_run(operators.cfg, j, k, nd, max_step, operators=operators)
                 for kind in kinds:
                     sweep = correlation_sweep(
                         es, p, theta, base_cfg.tau, steps, j, k,
@@ -349,11 +344,26 @@ def cmd_correlate(args) -> int:
                     )
                     for matrix in sweep:
                         written += _write_cell(base_cfg, theta, ti, matrix, formats, out_dir)
-                        if args.oracle and kind == "quantum" and matrix.step >= 1:
-                            oracle_cells.append((ti, theta, matrix))
+                        if run is not None and kind == "quantum" and matrix.step >= 1:
+                            names, entry = _oracle_cell(
+                                base_cfg, theta, ti, matrix, run, formats, out_dir
+                            )
+                            written += names
+                            oracle_entries.append(entry)
 
     if args.oracle:
-        written += _oracle_compare(base_cfg, manifest, oracle_cells, out_dir)
+        oracle_entries.sort(key=lambda e: e["cell"])
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "tool_version": __version__,
+            "record": "oracle_diff_report",
+            "entries": oracle_entries,
+            "worst_max_abs_diff": max(
+                (e["max_abs_diff"] for e in oracle_entries), default=0.0
+            ),
+        }
+        _write_json(os.path.join(out_dir, "oracle_diff.json"), report)
+        written.append("oracle_diff.json")
 
     _write_json(os.path.join(out_dir, "manifest.json"), manifest.to_json_dict())
     _log_line(out_dir, f"correlate wrote {len(written) + 1} files to {out_dir}")
@@ -389,36 +399,21 @@ def _write_cell(cfg, theta, ti, matrix, formats, out_dir) -> list:
     return written
 
 
-def _oracle_compare(base_cfg, manifest, cells, out_dir) -> list:
-    """Run the exact simulator once per (theta, delay, pair) and report the
-    worst entrywise difference for every quantum cell with n >= 1.
-
-    The runs of one theta share one set of step matrices; ``cells`` come
-    grouped by theta, so the set is replaced, never accumulated.
-    """
-    max_step = max(manifest.steps)
-    runs = {}
-    operators, operators_ti = None, None
-    entries = []
+def _oracle_cell(cfg, theta, ti, matrix, run, formats, out_dir) -> tuple:
+    """Compare one quantum cell with transit ``matrix.step`` of the exact
+    simulator's ``run``; returns the files written and the report entry."""
+    n, nd, (j, k) = matrix.step, matrix.delay, matrix.inputs
+    physical = run.transit_records[n - 1].coincidences
+    oracle_vals = physical / survival_prefactor(theta, n) if matrix.rescaled else physical
+    name = _cell_name(matrix.kind, matrix.rescaled, ti, nd, n, j, k)
     written = []
-    for ti, theta, matrix in cells:
-        n, nd, (j, k) = matrix.step, matrix.delay, matrix.inputs
-        key = (ti, nd, (j, k))
-        if key not in runs:
-            if operators_ti != ti:
-                operators = StepOperators(replace(base_cfg, theta=theta))
-                operators_ti = ti
-            runs[key] = delayed_run(operators.cfg, j, k, nd, max_step, operators=operators)
-        run = runs[key]
-        physical = run.transit_records[n - 1].coincidences
-        oracle_vals = physical / survival_prefactor(theta, n) if manifest.rescaled else physical
-        name = _cell_name(matrix.kind, manifest.rescaled, ti, nd, n, j, k)
+    if "json" in formats:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
             "record": "oracle_correlation_matrix",
-            "topology": base_cfg.topology,
-            "n_modes": base_cfg.n_modes,
+            "topology": cfg.topology,
+            "n_modes": cfg.n_modes,
             "theta": theta,
             "entry_probability": run.entry_prob,
             "values": oracle_vals.tolist(),
@@ -426,40 +421,27 @@ def _oracle_compare(base_cfg, manifest, cells, out_dir) -> list:
             "delay": nd,
             "inputs": [j, k],
             "kind": matrix.kind,
-            "rescaled": manifest.rescaled,
+            "rescaled": matrix.rescaled,
         }
-        if "json" in manifest.formats:
-            _write_json(os.path.join(out_dir, f"oracle_{name}.json"), payload)
-            written.append(f"oracle_{name}.json")
+        _write_json(os.path.join(out_dir, f"oracle_{name}.json"), payload)
+        written.append(f"oracle_{name}.json")
 
-        if nd == 0:
-            diff = float(np.max(np.abs(matrix.values - oracle_vals)))
-            entry = {"cell": name, "max_abs_diff": diff, "comparison": "direct"}
-        else:
-            # delayed closed form is shape-exact but scale differs by the
-            # norm of the conditioned one-photon state; compare unit-sum
-            a, b = matrix.values, oracle_vals
-            a_sum, b_sum = float(a.sum()), float(b.sum())
-            diff = float(np.max(np.abs(a / a_sum - b / b_sum))) if a_sum and b_sum else float("nan")
-            entry = {
-                "cell": name,
-                "max_abs_diff": diff,
-                "comparison": "unit_sum",
-                "scale_ratio": a_sum / b_sum if b_sum else float("nan"),
-            }
-        entries.append(entry)
-
-    entries.sort(key=lambda e: e["cell"])
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "record": "oracle_diff_report",
-        "entries": entries,
-        "worst_max_abs_diff": max((e["max_abs_diff"] for e in entries), default=0.0),
-    }
-    _write_json(os.path.join(out_dir, "oracle_diff.json"), report)
-    written.append("oracle_diff.json")
-    return written
+    if nd == 0:
+        diff = float(np.max(np.abs(matrix.values - oracle_vals)))
+        entry = {"cell": name, "max_abs_diff": diff, "comparison": "direct"}
+    else:
+        # delayed closed form is shape-exact but scale differs by the
+        # norm of the conditioned one-photon state; compare unit-sum
+        a, b = matrix.values, oracle_vals
+        a_sum, b_sum = float(a.sum()), float(b.sum())
+        diff = float(np.max(np.abs(a / a_sum - b / b_sum))) if a_sum and b_sum else float("nan")
+        entry = {
+            "cell": name,
+            "max_abs_diff": diff,
+            "comparison": "unit_sum",
+            "scale_ratio": a_sum / b_sum if b_sum else float("nan"),
+        }
+    return written, entry
 
 
 # ---- other subcommands -----------------------------------------------------------

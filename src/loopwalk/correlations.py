@@ -16,8 +16,9 @@ purely two-photon interference.  Carrying the pattern by relabelling is
 exact only when the loop permutation commutes with the coupling matrix.
 
 The formula lives in :func:`correlation_sweep`, which evaluates it for
-every step of one (input pair, delay, kind); the other entry points are
-one-step calls into it.
+every step of one (input pair, delay, kind); :func:`device_correlation`
+is a one-cell call into it from a device description, and
+:func:`check_sweep` holds the input rules both share with the CLI.
 
 Every function takes 1-based guide indices and an explicit ``rescaled``
 flag: rescaled output divides out the survival prefactor (the form used
@@ -55,9 +56,31 @@ def survival_prefactor(theta, n: int) -> float:
     return math.cos(th) ** (4 * (n - 1)) * math.sin(th) ** 4
 
 
-def _check_inputs(n_modes: int, j: int, k: int):
-    if not (1 <= j <= n_modes and 1 <= k <= n_modes):
-        raise ConfigError(f"input guides ({j}, {k}) out of range 1..{n_modes}")
+def check_sweep(n_modes: int, steps, pairs, delays, kinds, *, rescaled: bool):
+    """Refuse sweep axes that :func:`correlation_sweep` cannot evaluate.
+
+    Every combination of the axes must be valid: steps n >= 0, with the
+    n = 0 snapshot only rescaled; delays n_d >= 0, with classical kinds
+    only at n_d = 0; both guides of every pair in 1..n_modes.
+    """
+    for kind in kinds:
+        if kind not in ("quantum", "classical"):
+            raise ConfigError(f"kind must be quantum or classical, got {kind!r}")
+    for n in steps:
+        if n < 0:
+            raise ConfigError(f"transit count must be >= 0, got {n}")
+        if n == 0 and not rescaled:
+            raise ConfigError("the n = 0 snapshot exists only as rescaled output")
+    for n_d in delays:
+        if n_d < 0:
+            raise ConfigError(f"delay must be >= 0, got {n_d}")
+        if n_d > 0 and "classical" in kinds:
+            raise UnsupportedConfigError(
+                "classical correlations are only defined for simultaneous input"
+            )
+    for j, k in pairs:
+        if not (1 <= j <= n_modes and 1 <= k <= n_modes):
+            raise ConfigError(f"input guides ({j}, {k}) out of range 1..{n_modes}")
 
 
 def correlation_sweep(
@@ -79,28 +102,16 @@ def correlation_sweep(
     photon two, entering guide k n_d transits later, has propagated n; the
     detector wiring follows each photon's own relabelling depth.  Rows
     j and k of U(m tau) for every step come from one phase matrix and one
-    matrix product.  Inputs are checked here; the returned iterator yields
-    one :class:`CorrelationMatrix` per entry of ``steps``, in order.
+    matrix product.  Inputs are checked by :func:`check_sweep` before
+    anything is computed; the returned iterator yields one
+    :class:`CorrelationMatrix` per entry of ``steps``, in order.
 
     ``n = 0`` is the input snapshot and is only defined rescaled (the
     physical prefactor counts coupler passes that have not happened yet).
     Classical (distinguishable) patterns exist for n_d = 0 only.
     """
-    if kind not in ("quantum", "classical"):
-        raise ConfigError(f"kind must be quantum or classical, got {kind!r}")
-    if kind == "classical" and n_d != 0:
-        raise UnsupportedConfigError(
-            "classical correlations are only defined for simultaneous input"
-        )
-    _check_inputs(es.n, j, k)
-    if n_d < 0:
-        raise ConfigError(f"delay must be >= 0, got {n_d}")
     steps = tuple(int(n) for n in steps)
-    for n in steps:
-        if n < 0:
-            raise ConfigError(f"transit count must be >= 0, got {n}")
-        if n == 0 and not rescaled:
-            raise ConfigError("the n = 0 snapshot exists only as rescaled output")
+    check_sweep(es.n, steps, ((j, k),), (n_d,), (kind,), rescaled=rescaled)
     th = uniform_angle(theta)
 
     # photon one's row at steps n + n_d, then photon two's at steps n; the
@@ -139,70 +150,6 @@ def correlation_sweep(
             )
 
     return matrices()
-
-
-def gamma_simultaneous(
-    es: EigenSystem,
-    p: Permutation,
-    theta,
-    tau: float,
-    n: int,
-    j: int,
-    k: int,
-    *,
-    rescaled: bool,
-) -> CorrelationMatrix:
-    """Coincidence matrix after n transits for photons injected together.
-
-    ``n = 0`` is the input snapshot and is only defined rescaled (the
-    physical prefactor counts coupler passes that have not happened yet).
-    """
-    return next(correlation_sweep(es, p, theta, tau, (n,), j, k, rescaled=rescaled))
-
-
-def classical_p(
-    es: EigenSystem,
-    p: Permutation,
-    theta,
-    tau: float,
-    n: int,
-    j: int,
-    k: int,
-    *,
-    rescaled: bool,
-) -> CorrelationMatrix:
-    """Distinguishable-photon coincidences: the same two propagation
-    histories as the quantum case, summed in probability instead of
-    amplitude."""
-    return next(
-        correlation_sweep(es, p, theta, tau, (n,), j, k, kind="classical", rescaled=rescaled)
-    )
-
-
-def gamma_delayed(
-    es: EigenSystem,
-    p: Permutation,
-    theta,
-    tau: float,
-    n: int,
-    n_d: int,
-    j: int,
-    k: int,
-    *,
-    rescaled: bool,
-) -> CorrelationMatrix:
-    """Coincidences when photon two enters n_d transits after photon one.
-
-    Photon one accumulates n + n_d transits of propagation and
-    relabelling, photon two only n; the detector wiring follows each
-    photon's own relabelling depth.  With n_d = 0 this reduces exactly to
-    gamma_simultaneous.  The returned values keep the simultaneous-case
-    prefactor convention; the overall scale of a delayed pattern is only
-    meaningful relative to its own sum (the conditional state of photon
-    one is not normalised by the closed form), so comparisons across
-    conventions should normalise first.
-    """
-    return next(correlation_sweep(es, p, theta, tau, (n,), j, k, n_d=n_d, rescaled=rescaled))
 
 
 def optimal_theta(n: int) -> float:

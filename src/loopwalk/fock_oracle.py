@@ -522,10 +522,6 @@ def delayed_schedule(j: int, k: int, delay: int, n_steps: int) -> list:
     return steps + transit_schedule(n_steps)
 
 
-def simultaneous_run(cfg: DeviceConfig, j: int, k: int, n_steps: int) -> PipelineResult:
-    return run_pipeline(cfg, simultaneous_schedule(j, k, n_steps))
-
-
 def delayed_run(
     cfg: DeviceConfig,
     j: int,

@@ -10,9 +10,7 @@ import numpy as np
 
 import loopwalk as lw
 from loopwalk.correlations import (
-    classical_p,
-    gamma_delayed,
-    gamma_simultaneous,
+    correlation_sweep,
     invariant_modes,
     optimal_theta,
     survival_prefactor,
@@ -57,7 +55,7 @@ def test_01_closed_forms_match_exact_simulator():
     t0 = time.perf_counter()
     worst = 0.0
     for cfg in DEVICES:
-        run = lw.simultaneous_run(cfg, 1, 7, 4)
+        run = lw.delayed_run(cfg, 1, 7, 0, 4)
         for n in range(1, 5):
             closed = lw.device_correlation(cfg, n, 1, 7, rescaled=False)
             diff = float(np.max(np.abs(closed.values - run.transit_records[n - 1].coincidences)))
@@ -77,11 +75,11 @@ def test_02_half_twist_mirrors_the_pattern():
     ident = Permutation.identity(n_modes)
     mirror = Permutation.mirror(n_modes)
     worst = 0.0
-    for n in (1, 2, 3):
-        cyl = gamma_simultaneous(es, ident, Q, 1.0, n, 1, 7, rescaled=True).values
-        mob = gamma_simultaneous(es, mirror, Q, 1.0, n, 1, 7, rescaled=True).values
-        expect = permute_modes(cyl, symmetry_map("moebius", n, n_modes))
-        worst = max(worst, float(np.max(np.abs(mob - expect))))
+    cyls = correlation_sweep(es, ident, Q, 1.0, (1, 2, 3), 1, 7, rescaled=True)
+    mobs = correlation_sweep(es, mirror, Q, 1.0, (1, 2, 3), 1, 7, rescaled=True)
+    for cyl, mob in zip(cyls, mobs):
+        expect = permute_modes(cyl.values, symmetry_map("moebius", cyl.step, n_modes))
+        worst = max(worst, float(np.max(np.abs(mob.values - expect))))
     _verdict(2, "half twist = mirrored pattern (odd n), undone (even n)", worst < 1e-12,
              f"worst {worst:.2e}")
 
@@ -92,11 +90,11 @@ def test_03_twist_shifts_the_pattern():
     ring = Permutation.identity(n_modes)
     twist = Permutation.cyclic(n_modes, c)
     worst = 0.0
-    for n in range(1, 5):
-        ref = gamma_simultaneous(es, ring, Q, 1.0, n, 1, 7, rescaled=True).values
-        tw = gamma_simultaneous(es, twist, Q, 1.0, n, 1, 7, rescaled=True).values
-        expect = permute_modes(ref, symmetry_map("twisted_circle", n, n_modes, c))
-        worst = max(worst, float(np.max(np.abs(tw - expect))))
+    refs = correlation_sweep(es, ring, Q, 1.0, range(1, 5), 1, 7, rescaled=True)
+    tws = correlation_sweep(es, twist, Q, 1.0, range(1, 5), 1, 7, rescaled=True)
+    for ref, tw in zip(refs, tws):
+        expect = permute_modes(ref.values, symmetry_map("twisted_circle", ref.step, n_modes, c))
+        worst = max(worst, float(np.max(np.abs(tw.values - expect))))
     _verdict(3, "twisted circle = ring pattern shifted by n c", worst < 1e-12,
              f"worst {worst:.2e}")
 
@@ -126,8 +124,8 @@ def test_04_detection_mass_follows_coupler_budget():
 
     entry_worst = 0.0
     for theta in (0.3, 0.7, Q, 1.2):
-        run = lw.simultaneous_run(
-            DeviceConfig(topology="cylinder", n_modes=6, theta=theta), 1, 4, 1
+        run = lw.delayed_run(
+            DeviceConfig(topology="cylinder", n_modes=6, theta=theta), 1, 4, 0, 1
         )
         entry_worst = max(entry_worst, abs(run.entry_prob - np.sin(theta) ** 4))
     _verdict(
@@ -186,10 +184,11 @@ def test_06_spectra_reconstruct_and_cross_check():
 def test_07_two_guide_bunching():
     es = eigen_tridiagonal(2)
     p = Permutation.identity(2)
-    g = gamma_simultaneous(es, p, Q, Q, 1, 1, 2, rescaled=True).values
-    c = classical_p(es, p, Q, Q, 1, 1, 2, rescaled=True).values
+    (g,) = correlation_sweep(es, p, Q, Q, (1,), 1, 2, rescaled=True)
+    (c,) = correlation_sweep(es, p, Q, Q, (1,), 1, 2, kind="classical", rescaled=True)
     worst = max(
-        abs(g[0, 1]), abs(g[0, 0] - 0.5), abs(g[1, 1] - 0.5), abs(c[0, 1] - 0.5)
+        abs(g.values[0, 1]), abs(g.values[0, 0] - 0.5), abs(g.values[1, 1] - 0.5),
+        abs(c.values[0, 1] - 0.5),
     )
     _verdict(7, "two-guide bunching: no cross coincidences, equal doubles",
              worst < 1e-12, f"worst {worst:.2e}")
@@ -203,9 +202,10 @@ def test_08_delayed_entry_matches_staged_simulator():
         p = permutation_for(cfg)
         for n_d in (1, 2):
             run = lw.delayed_run(cfg, 1, 7, n_d, 4)
-            for n in range(1, 5):
-                closed = gamma_delayed(es, p, Q, 1.0, n, n_d, 1, 7, rescaled=True).values
-                exact = run.transit_records[n - 1].coincidences
+            sweep = correlation_sweep(es, p, Q, 1.0, range(1, 5), 1, 7, n_d=n_d, rescaled=True)
+            for cell, rec in zip(sweep, run.transit_records):
+                closed = cell.values
+                exact = rec.coincidences
                 a = closed / closed.sum()
                 b = exact / exact.sum()
                 worst = max(worst, float(np.max(np.abs(a - b))))

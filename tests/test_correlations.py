@@ -3,11 +3,8 @@ import pytest
 
 from loopwalk import correlations
 from loopwalk.correlations import (
-    classical_p,
     correlation_sweep,
     device_correlation,
-    gamma_delayed,
-    gamma_simultaneous,
     invariant_modes,
     optimal_theta,
     survival_prefactor,
@@ -22,7 +19,7 @@ from loopwalk.model import (
     permutation_for,
     validate_device,
 )
-from loopwalk.fock_oracle import simultaneous_run
+from loopwalk.fock_oracle import delayed_run
 from loopwalk.propagate import permute_modes, transfer_matrix
 from loopwalk.spectra import eigen_circulant, eigen_tridiagonal, eigensystem_for
 from test_propagate import _naive_compose
@@ -42,7 +39,7 @@ def _chain(n):
 
 def test_bunching_quantum():
     es, p = _chain(2)
-    g = gamma_simultaneous(es, p, Q, Q, 1, 1, 2, rescaled=True)
+    (g,) = correlation_sweep(es, p, Q, Q, (1,), 1, 2, rescaled=True)
     assert abs(g.values[0, 1]) < 1e-12
     assert abs(g.values[0, 0] - 0.5) < 1e-12
     assert abs(g.values[1, 1] - 0.5) < 1e-12
@@ -50,14 +47,14 @@ def test_bunching_quantum():
 
 def test_bunching_gone_for_distinguishable_photons():
     es, p = _chain(2)
-    c = classical_p(es, p, Q, Q, 1, 1, 2, rescaled=True)
+    (c,) = correlation_sweep(es, p, Q, Q, (1,), 1, 2, kind="classical", rescaled=True)
     assert abs(c.values[0, 1] - 0.5) < 1e-12
     assert abs(c.values[0, 0] - 0.25) < 1e-12
 
 
 def test_physical_scale_is_entry_probability_at_first_transit():
     es, p = _chain(2)
-    g = gamma_simultaneous(es, p, Q, Q, 1, 1, 2, rescaled=False)
+    (g,) = correlation_sweep(es, p, Q, Q, (1,), 1, 2, rescaled=False)
     assert abs(g.values[0, 0] - 0.5 * np.sin(Q) ** 4) < 1e-14
 
 
@@ -110,15 +107,14 @@ def test_mirror_relabelling_identity_is_exact():
     es, _ = _chain(n_modes)
     ident = Permutation.identity(n_modes)
     mirror = Permutation.mirror(n_modes)
-    for n in (1, 2, 3):
-        cyl = gamma_simultaneous(es, ident, 0.7, 1.0, n, 1, 4, rescaled=True)
-        mob = gamma_simultaneous(es, mirror, 0.7, 1.0, n, 1, 4, rescaled=True)
-        mapped = permute_modes(cyl.values, symmetry_map("moebius", n, n_modes))
+    cyls = correlation_sweep(es, ident, 0.7, 1.0, (1, 2, 3), 1, 4, rescaled=True)
+    mobs = correlation_sweep(es, mirror, 0.7, 1.0, (1, 2, 3), 1, 4, rescaled=True)
+    for cyl, mob in zip(cyls, mobs):
+        mapped = permute_modes(cyl.values, symmetry_map("moebius", cyl.step, n_modes))
         assert np.array_equal(mob.values, mapped)
-    # even transit counts undo the twist entirely
-    cyl2 = gamma_simultaneous(es, ident, 0.7, 1.0, 2, 1, 4, rescaled=True)
-    mob2 = gamma_simultaneous(es, mirror, 0.7, 1.0, 2, 1, 4, rescaled=True)
-    assert np.array_equal(mob2.values, cyl2.values)
+        if cyl.step % 2 == 0:
+            # even transit counts undo the twist entirely
+            assert np.array_equal(mob.values, cyl.values)
 
 
 def test_shift_relabelling_identity_is_exact():
@@ -127,10 +123,10 @@ def test_shift_relabelling_identity_is_exact():
     es = eigen_circulant(n_modes, gvec)
     ring = Permutation.identity(n_modes)
     twist = Permutation.cyclic(n_modes, c)
-    for n in (1, 2, 3, 4):
-        a = gamma_simultaneous(es, ring, 0.55, 1.0, n, 2, 6, rescaled=True)
-        b = gamma_simultaneous(es, twist, 0.55, 1.0, n, 2, 6, rescaled=True)
-        mapped = permute_modes(a.values, symmetry_map("twisted_circle", n, n_modes, c))
+    refs = correlation_sweep(es, ring, 0.55, 1.0, (1, 2, 3, 4), 2, 6, rescaled=True)
+    twists = correlation_sweep(es, twist, 0.55, 1.0, (1, 2, 3, 4), 2, 6, rescaled=True)
+    for a, b in zip(refs, twists):
+        mapped = permute_modes(a.values, symmetry_map("twisted_circle", a.step, n_modes, c))
         assert np.array_equal(b.values, mapped)
 
 
@@ -143,8 +139,8 @@ def test_quantum_bounded_by_twice_classical():
         n = int(rng.integers(1, 5))
         j = int(rng.integers(1, n_modes + 1))
         k = int(rng.integers(1, n_modes + 1))
-        g = gamma_simultaneous(es, p, theta, 1.0, n, j, k, rescaled=True)
-        c = classical_p(es, p, theta, 1.0, n, j, k, rescaled=True)
+        (g,) = correlation_sweep(es, p, theta, 1.0, (n,), j, k, rescaled=True)
+        (c,) = correlation_sweep(es, p, theta, 1.0, (n,), j, k, kind="classical", rescaled=True)
         assert np.all(g.values <= 2.0 * c.values + 1e-12)
 
 
@@ -152,8 +148,8 @@ def test_doubly_occupied_input():
     """Both photons into one guide: no interference term survives, the
     quantum pattern collapses onto the classical one."""
     es, p = _chain(5)
-    g = gamma_simultaneous(es, p, 0.7, 1.0, 2, 3, 3, rescaled=True)
-    c = classical_p(es, p, 0.7, 1.0, 2, 3, 3, rescaled=True)
+    (g,) = correlation_sweep(es, p, 0.7, 1.0, (2,), 3, 3, rescaled=True)
+    (c,) = correlation_sweep(es, p, 0.7, 1.0, (2,), 3, 3, kind="classical", rescaled=True)
     assert np.max(np.abs(g.values - c.values)) < 1e-14
     assert abs(np.triu(g.values).sum() - 1.0) < 1e-12
 
@@ -162,7 +158,7 @@ def test_doubly_occupied_input():
 
     cfg = DeviceConfig(topology="cylinder", n_modes=5, theta=0.7)
     run = state_run(cfg, TwoPhotonState.from_array_pair(5, 3, 3), 2)
-    phys = gamma_simultaneous(es, p, 0.7, 1.0, 2, 3, 3, rescaled=False)
+    (phys,) = correlation_sweep(es, p, 0.7, 1.0, (2,), 3, 3, rescaled=False)
     assert np.max(np.abs(run.transit_records[1].coincidences - phys.values)) < 1e-12
 
 
@@ -172,8 +168,8 @@ def test_pair_mass_sums_to_one_when_rescaled():
         n_modes = int(rng.integers(2, 9))
         es, p = _chain(n_modes)
         n = int(rng.integers(1, 4))
-        g = gamma_simultaneous(es, p, 0.8, 1.0, n, 1, n_modes, rescaled=True)
-        c = classical_p(es, p, 0.8, 1.0, n, 1, n_modes, rescaled=True)
+        (g,) = correlation_sweep(es, p, 0.8, 1.0, (n,), 1, n_modes, rescaled=True)
+        (c,) = correlation_sweep(es, p, 0.8, 1.0, (n,), 1, n_modes, kind="classical", rescaled=True)
         assert abs(np.triu(g.values).sum() - 1.0) < 1e-12
         assert abs(np.triu(c.values).sum() - 1.0) < 1e-12
 
@@ -183,19 +179,12 @@ def test_pair_mass_sums_to_one_when_rescaled():
 
 def test_snapshot_before_first_transit():
     es, p = _chain(6)
-    g = gamma_simultaneous(es, p, 0.5, 1.0, 0, 2, 5, rescaled=True)
+    (g,) = correlation_sweep(es, p, 0.5, 1.0, (0,), 2, 5, rescaled=True)
     expected = np.zeros((6, 6))
     expected[1, 4] = expected[4, 1] = 1.0
     assert np.allclose(g.values, expected, atol=1e-14)
     with pytest.raises(ConfigError):
-        gamma_simultaneous(es, p, 0.5, 1.0, 0, 2, 5, rescaled=False)
-
-
-def test_delay_zero_reduces_to_simultaneous():
-    es, p = _chain(7)
-    a = gamma_simultaneous(es, p, 0.6, 1.0, 2, 1, 4, rescaled=True)
-    b = gamma_delayed(es, p, 0.6, 1.0, 2, 0, 1, 4, rescaled=True)
-    assert np.array_equal(a.values, b.values)
+        correlation_sweep(es, p, 0.5, 1.0, (0,), 2, 5, rescaled=False)
 
 
 def test_delayed_two_guides_frozen():
@@ -204,7 +193,7 @@ def test_delayed_two_guides_frozen():
     The early photon sees U(2 g tau) = -i X, the late one U(g tau); the
     resulting rescaled pattern is (0, 1/2, 1) over (11, 12, 22)."""
     es, p = _chain(2)
-    g = gamma_delayed(es, p, Q, Q, 1, 1, 1, 2, rescaled=True)
+    (g,) = correlation_sweep(es, p, Q, Q, (1,), 1, 2, n_d=1, rescaled=True)
     assert abs(g.values[0, 0] - 0.0) < 1e-12
     assert abs(g.values[0, 1] - 0.5) < 1e-12
     assert abs(g.values[1, 1] - 1.0) < 1e-12
@@ -212,7 +201,7 @@ def test_delayed_two_guides_frozen():
 
 def test_delayed_records_delay():
     es, p = _chain(4)
-    g = gamma_delayed(es, p, 0.5, 1.0, 2, 3, 1, 2, rescaled=True)
+    (g,) = correlation_sweep(es, p, 0.5, 1.0, (2,), 1, 2, n_d=3, rescaled=True)
     assert g.delay == 3 and g.step == 2
 
 
@@ -268,7 +257,7 @@ def test_sweep_cells_equal_one_step_calls():
     es, p = eigen_tridiagonal(7), Permutation.mirror(7)
     sweep = correlation_sweep(es, p, 0.5, 1.0, (1, 3), 2, 6, n_d=1, rescaled=False)
     for m in sweep:
-        one = gamma_delayed(es, p, 0.5, 1.0, m.step, 1, 2, 6, rescaled=False)
+        (one,) = correlation_sweep(es, p, 0.5, 1.0, (m.step,), 2, 6, n_d=1, rescaled=False)
         assert np.array_equal(m.values, one.values)
 
 
@@ -344,11 +333,12 @@ def test_non_commuting_loop_refused():
     # why it is refused: the relabelled closed form drifts from the exact
     # simulator once the walk has gone round the loop more than once
     es = eigensystem_for(cfg)
-    run = simultaneous_run(cfg, 1, 3, 2)
+    run = delayed_run(cfg, 1, 3, 0, 2)
     diffs = [
-        np.max(np.abs(gamma_simultaneous(es, p, 0.5, 1.0, n, 1, 3, rescaled=False).values
-                      - run.transit_records[n - 1].coincidences))
-        for n in (1, 2)
+        np.max(np.abs(m.values - rec.coincidences))
+        for m, rec in zip(
+            correlation_sweep(es, p, 0.5, 1.0, (1, 2), 1, 3, rescaled=False), run.transit_records
+        )
     ]
     assert diffs[0] < 1e-15 and diffs[1] > 1e-3
     with pytest.raises(UnsupportedConfigError, match="commutes"):
@@ -361,7 +351,7 @@ def test_commuting_custom_loop_accepted():
     g = a + a.T
     cfg = DeviceConfig(topology="custom", n_modes=6, theta=0.5, custom_g=g,
                        custom_perm=(1, 2, 3, 4, 5, 6))
-    run = simultaneous_run(cfg, 2, 5, 3)
+    run = delayed_run(cfg, 2, 5, 0, 3)
     got = device_correlation(cfg, 3, 2, 5, rescaled=False).values
     assert np.max(np.abs(got - run.transit_records[2].coincidences)) < 1e-15
 
@@ -382,9 +372,9 @@ def test_classical_delayed_unsupported():
 def test_inputs_validated():
     es, p = _chain(3)
     with pytest.raises(ConfigError):
-        gamma_simultaneous(es, p, 0.4, 1.0, 1, 0, 2, rescaled=True)
+        correlation_sweep(es, p, 0.4, 1.0, (1,), 0, 2, rescaled=True)
     with pytest.raises(ConfigError):
-        gamma_simultaneous(es, p, 0.4, 1.0, 1, 1, 4, rescaled=True)
+        correlation_sweep(es, p, 0.4, 1.0, (1,), 1, 4, rescaled=True)
 
 
 def test_symmetry_map_guards():

@@ -14,7 +14,7 @@ from loopwalk.fock_oracle import (
     lift_to_two_photon,
     pair_basis,
     run_pipeline,
-    simultaneous_run,
+    simultaneous_schedule,
     single_particle_step_matrix,
     transit_schedule,
 )
@@ -155,7 +155,7 @@ def test_injection_has_no_matrix():
 
 def test_entry_probability_uniform_theta():
     theta = 0.6
-    res = simultaneous_run(_cfg(5, theta=theta), 2, 4, 1)
+    res = delayed_run(_cfg(5, theta=theta), 2, 4, 0, 1)
     assert abs(res.entry_prob - np.sin(theta) ** 4) < 1e-12
 
 
@@ -173,7 +173,7 @@ def test_entry_probability_per_guide_theta():
 
 def test_transit_mass_follows_coupler_budget():
     theta = 0.7
-    res = simultaneous_run(_cfg(6, theta=theta), 1, 4, 4)
+    res = delayed_run(_cfg(6, theta=theta), 1, 4, 0, 4)
     for n, rec in enumerate(res.transit_records, start=1):
         expected = np.cos(theta) ** (4 * (n - 1)) * np.sin(theta) ** 4
         # unordered pairs: the mirrored matrix double-counts r != s
@@ -182,7 +182,7 @@ def test_transit_mass_follows_coupler_budget():
 
 
 def test_delay_zero_matches_simultaneous():
-    a = simultaneous_run(_cfg(5), 1, 3, 3)
+    a = run_pipeline(_cfg(5), simultaneous_schedule(1, 3, 3))
     b = delayed_run(_cfg(5), 1, 3, 0, 3)
     for ra, rb in zip(a.transit_records, b.transit_records):
         assert np.array_equal(ra.coincidences, rb.coincidences)
@@ -208,7 +208,7 @@ def test_zero_probability_conditioning_raises():
 
 
 def test_norm_bookkeeping_across_transits():
-    res = simultaneous_run(_cfg(4, theta=0.5), 1, 2, 3)
+    res = delayed_run(_cfg(4, theta=0.5), 1, 2, 0, 3)
     total_removed = sum(r.removed_mass for r in res.transit_records)
     remaining = res.final_state.norm_sq()
     assert abs(total_removed + remaining - 1.0) < 1e-12
