@@ -6,7 +6,7 @@ spectral solvers for the coupling matrices, and a physical feasibility
 calculator for the optical loop.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .model import (
     ConfigError,

@@ -4,12 +4,16 @@ A pair of indistinguishable photons injected into array guides j and k
 produces, after n transits around the loop, a coincidence probability for
 the detector pair (r, s) of
 
-    cos(theta)^(4(n-1)) sin(theta)^4 / (1 + delta_rs)
+    cos(theta)^(4(n-1)) sin(theta)^4 / ((1 + delta_rs) (1 + delta_jk))
         * | U[j, q(r)] U[k, q(s)] + U[j, q(s)] U[k, q(r)] |^2
 
 where U = U(n tau) is the single-photon transfer matrix over n transits
 and q is the inverse of the n-fold loop relabelling: detectors are wired
 to fixed positions while the walk pattern is carried around the loop.
+The 1 + delta_jk is the norm^2 of the input pair state; when photon two
+enters n_d transits late it becomes 1 + |W[j, k]|^2, with W = U(n_d tau)
+rewired by the n_d-fold relabelling, the amplitude that photon one
+already occupies guide k.
 The classical (distinguishable) counterpart adds the two squared moduli
 instead of the two amplitudes, so the difference between the matrices is
 purely two-photon interference.  Carrying the pattern by relabelling is
@@ -108,7 +112,9 @@ def correlation_sweep(
 
     ``n = 0`` is the input snapshot and is only defined rescaled (the
     physical prefactor counts coupler passes that have not happened yet).
-    Classical (distinguishable) patterns exist for n_d = 0 only.
+    Classical (distinguishable) patterns exist for n_d = 0 only.  Quantum
+    cells are exact in scale: they divide by the norm^2 of the pair state
+    photon two enters, so physical cells equal the exact simulator's.
     """
     steps = tuple(int(n) for n in steps)
     check_sweep(es.n, steps, ((j, k),), (n_d,), (kind,), rescaled=rescaled)
@@ -128,6 +134,14 @@ def correlation_sweep(
     # q depends on m only through m mod the order of p
     period = order(p)
     wiring = {r: compose(p, -r).zero_based() for r in {m % period for m in counts}}
+    if n_d == 0:
+        norm_sq = 1.0 + (j == k)
+    else:
+        # photon one's amplitude at guide k when photon two enters there:
+        # W[j-1, k-1] with W = U(n_d tau)[:, compose(p, -n_d).zero_based()]
+        q_k = compose(p, -n_d).zero_based()[k - 1]
+        phase = np.exp(-1j * es.eigenvalues * float(n_d * tau))
+        norm_sq = 1.0 + abs(np.dot(v[j - 1] * phase, v[q_k].conj())) ** 2
 
     def matrices():
         for i, n in enumerate(steps):
@@ -139,12 +153,10 @@ def correlation_sweep(
             else:
                 amp_sq = np.abs(cross) ** 2
                 amp_sq = amp_sq + amp_sq.T
-            amp_sq[np.diag_indices_from(amp_sq)] *= 0.5
+            amp_sq.reshape(-1)[:: es.n + 1] *= 0.5  # the diagonal, as a strided view
             values = (1.0 if rescaled else survival_prefactor(th, n)) * amp_sq
-            if kind == "quantum" and j == k:
-                # a doubly occupied input carries norm sqrt(2); for n_d > 0
-                # this keeps the n_d = 0 limit, the scale being shape-only
-                values = values / 2.0
+            if kind == "quantum":
+                values /= norm_sq
             yield CorrelationMatrix(
                 values=values, step=n, delay=n_d, inputs=(j, k), kind=kind, rescaled=rescaled
             )

@@ -126,6 +126,19 @@ def test_repeated_sweep_entries_are_dropped(tmp_path, capsys):
     assert manifest["delays"] == [0]
 
 
+def test_repeated_theta_is_swept_once(tmp_path, capsys):
+    code, out = run(
+        tmp_path,
+        "correlate", "--n-modes", "5", "--inputs", "1,3", "--theta", "0.5,0.5",
+        "--steps", "1", "--formats", "csv",
+    )
+    assert code == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["corr_quantum_resc_th0_nd0_n1_j1k3.csv", "manifest.json", "run.log"]
+    assert "wrote 2 files" in capsys.readouterr().out
+    assert json.loads((out / "manifest.json").read_text())["thetas"] == [0.5]
+
+
 def test_runs_are_byte_identical(tmp_path):
     args = (
         "correlate", "--topology", "twisted_circle", "--n-modes", "6",
@@ -154,7 +167,7 @@ def test_oracle_report_confirms_closed_forms(tmp_path):
     assert all(e["comparison"] == "direct" for e in report["entries"])
 
 
-def test_oracle_report_delayed_uses_shapes(tmp_path):
+def test_oracle_report_delayed_is_direct(tmp_path):
     code, out = run(
         tmp_path,
         "correlate", "--n-modes", "6", "--inputs", "1,4",
@@ -162,10 +175,10 @@ def test_oracle_report_delayed_uses_shapes(tmp_path):
     )
     assert code == 0
     report = json.loads((out / "oracle_diff.json").read_text())
-    assert report["worst_max_abs_diff"] < 1e-10
+    assert len(report["entries"]) == 2
+    assert report["worst_max_abs_diff"] < 1e-14
     for e in report["entries"]:
-        assert e["comparison"] == "unit_sum"
-        assert e["scale_ratio"] > 0
+        assert e["comparison"] == "direct" and "scale_ratio" not in e
 
 
 def test_manifest_is_timestamp_free(tmp_path):

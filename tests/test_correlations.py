@@ -190,13 +190,16 @@ def test_snapshot_before_first_transit():
 def test_delayed_two_guides_frozen():
     """One transit of extra delay on a balanced two-guide splitter.
 
-    The early photon sees U(2 g tau) = -i X, the late one U(g tau); the
-    resulting rescaled pattern is (0, 1/2, 1) over (11, 12, 22)."""
+    The early photon sees U(2 g tau) = -i X, the late one U(g tau), giving
+    (0, 1/2, 1) over (11, 12, 22) before normalisation.  When photon two
+    enters guide 2, photon one is there with amplitude U(g tau)[1, 2] =
+    -i/sqrt(2), so the pair state has norm^2 3/2 and the rescaled pattern
+    is (0, 1/3, 2/3), of unit pair mass."""
     es, p = _chain(2)
     (g,) = correlation_sweep(es, p, Q, Q, (1,), 1, 2, n_d=1, rescaled=True)
     assert abs(g.values[0, 0] - 0.0) < 1e-12
-    assert abs(g.values[0, 1] - 0.5) < 1e-12
-    assert abs(g.values[1, 1] - 1.0) < 1e-12
+    assert abs(g.values[0, 1] - 1.0 / 3.0) < 1e-12
+    assert abs(g.values[1, 1] - 2.0 / 3.0) < 1e-12
 
 
 def test_delayed_records_delay():
@@ -209,15 +212,17 @@ def test_delayed_records_delay():
 
 
 def _reference_cell(es, p, theta, tau, n, n_d, j, k, kind, rescaled):
-    """One cell from two full transfer matrices and step-by-step relabelling."""
+    """One cell from full transfer matrices and step-by-step relabelling."""
     a = transfer_matrix(es, (n + n_d) * tau).u[j - 1]
     b = transfer_matrix(es, n * tau).u[k - 1]
     a = a[[q - 1 for q in _naive_compose(p, -(n + n_d))]]
     b = b[[q - 1 for q in _naive_compose(p, -n)]]
     if kind == "quantum":
         vals = np.abs(np.einsum("r,s->rs", a, b) + np.einsum("s,r->rs", a, b)) ** 2
-        if j == k:
-            vals /= 2.0
+        # norm^2 of the entering pair state: photon one's amplitude at guide
+        # k after n_d transits (delta_jk at n_d = 0, where U(0) = 1)
+        w = transfer_matrix(es, n_d * tau).u[j - 1, _naive_compose(p, -n_d)[k - 1] - 1]
+        vals /= 1.0 + abs(w) ** 2
     else:
         vals = np.abs(np.einsum("r,s->rs", a, b)) ** 2 + np.abs(np.einsum("s,r->rs", a, b)) ** 2
     vals /= 1.0 + np.eye(es.n)
