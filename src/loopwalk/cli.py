@@ -427,8 +427,7 @@ def _oracle_cell(cfg, theta, ti, matrix, run, formats, out_dir) -> tuple:
         written.append(f"oracle_{name}.json")
 
     diff = float(np.max(np.abs(matrix.values - oracle_vals)))
-    entry = {"cell": name, "max_abs_diff": diff, "comparison": "direct"}
-    return written, entry
+    return written, {"cell": name, "max_abs_diff": diff, "comparison": "direct"}
 
 
 # ---- other subcommands -----------------------------------------------------------

@@ -2,11 +2,13 @@
 
 The acceptance tests check pair mass, the relabelling maps and agreement
 with the exact simulator on a few fixed devices; here hypothesis draws
-the devices: every topology, N <= 8, any coupler angle and transit time,
-any symmetric circulant ring, and custom couplings
+the devices: every topology, N <= 8, any coupler angle, transit time and
+common mode frequency, any symmetric circulant ring, and custom couplings
 G = sum_k a_k (P^k + P^-k), which commute with their random loop
 permutation P by construction.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -42,7 +44,9 @@ def permutations(draw, n):
 def devices(draw, topologies=("cylinder", "moebius", "twisted_circle", "custom")):
     topology = draw(st.sampled_from(topologies))
     n = draw(st.integers(min_value=2, max_value=8))
-    cfg = dict(topology=topology, n_modes=n, theta=draw(angles), tau=draw(times))
+    cfg = dict(
+        topology=topology, n_modes=n, theta=draw(angles), tau=draw(times), omega=draw(couplings)
+    )
     if topology == "twisted_circle":
         half = draw(st.lists(couplings, min_size=n // 2 + 1, max_size=n // 2 + 1))
         cfg.update(
@@ -86,12 +90,9 @@ def test_pair_mass_is_survival_prefactor(cfg, data):
 def test_twisted_pattern_is_the_mapped_untwisted_one(cfg, data):
     j, k = _guides(data.draw, cfg.n_modes, distinct=False)
     if cfg.topology == "moebius":
-        untwisted = DeviceConfig(topology="cylinder", n_modes=cfg.n_modes, theta=cfg.theta)
+        untwisted = replace(cfg, topology="cylinder")
     else:
-        untwisted = DeviceConfig(
-            topology="twisted_circle", n_modes=cfg.n_modes, theta=cfg.theta,
-            shift_c=0, g_vector=cfg.g_vector,
-        )
+        untwisted = replace(cfg, shift_c=0)
     es = eigensystem_for(cfg)
     args = (cfg.theta[0], cfg.tau, STEPS, j, k)
     twisted = correlation_sweep(es, permutation_for(cfg), *args, rescaled=True)
