@@ -33,11 +33,12 @@ from .correlations import (
     survival_prefactor,
 )
 from .feasibility import PhysicalParams, discreteness_check, loop_budget
-from .fock_oracle import StepOperators, delayed_run
+from .fock_oracle import StepOperators, delayed_run, oracle_memory_check
 from .model import (
     ConfigError,
     DeviceConfig,
     NumericError,
+    coupler_angle_ok,
     permutation_for,
     uniform_angle,
     validate_device,
@@ -213,7 +214,11 @@ def _device_from_args(args, theta) -> DeviceConfig:
 def _thetas_from_args(args) -> tuple[float, ...]:
     if getattr(args, "theta", None) is None:
         return (math.pi / 4,)
-    return _unique(_parse_float_list(args.theta))
+    thetas = _unique(_parse_float_list(args.theta))
+    for theta in thetas:
+        if not coupler_angle_ok(theta):
+            raise ConfigError(f"--theta value {theta!r} outside [0, pi/2]")
+    return thetas
 
 
 def _check_device(cfg: DeviceConfig):
@@ -299,8 +304,10 @@ def cmd_correlate(args) -> int:
     kinds = ("quantum", "classical") if args.kind == "both" else (args.kind,)
 
     check_sweep(base_cfg.n_modes, steps, pairs, delays, kinds, rescaled=rescaled)
-    if args.oracle and any(j == k for j, k in pairs):
-        raise ConfigError("oracle comparison needs distinct input guides")
+    if args.oracle:
+        if any(j == k for j, k in pairs):
+            raise ConfigError("oracle comparison needs distinct input guides")
+        oracle_memory_check(base_cfg.n_modes)
 
     # the eigensystem and the loop relabelling do not depend on theta
     p = require_commuting_loop(base_cfg)

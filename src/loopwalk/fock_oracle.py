@@ -17,16 +17,25 @@ order.  The basis vector for m1 = m2 is (a^dag)^2 |0> / sqrt(2).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .model import ConfigError, DeviceConfig, NumericError, _readonly, permutation_for
+from .model import (
+    ConfigError,
+    DeviceConfig,
+    NumericError,
+    UnsupportedConfigError,
+    _readonly,
+    permutation_for,
+)
 from .spectra import coupling_for
 
 _OCCUPIED_TOL = 1e-12
+_LIFT_BLOCK_BYTES = 4 << 20  # output rows lift_to_two_photon fills per pass
 
 
 # ---- matrix exponential (Pade 13, scaling and squaring) ------------------
@@ -120,17 +129,40 @@ def lift_to_two_photon(u: np.ndarray) -> np.ndarray:
     For output pair (r1 <= r2) and input pair (m1 <= m2) the matrix element
     is (u[r1,m1] u[r2,m2] + u[r1,m2] u[r2,m1]) / sqrt(1+delta_r) sqrt(1+delta_m),
     which keeps the map unitary on the normalised pair basis.
+
+    The result is filled a block of about _LIFT_BLOCK_BYTES of output rows
+    at a time, so the only dim x dim allocation is the result itself.
     """
     u = np.asarray(u, dtype=complex)
     pb = pair_basis(u.shape[0])
-    r1 = pb.i1[:, None]
-    r2 = pb.i2[:, None]
-    m1 = pb.i1[None, :]
-    m2 = pb.i2[None, :]
-    lifted = u[r1, m1] * u[r2, m2] + u[r1, m2] * u[r2, m1]
-    lifted *= pb.weight[:, None]
-    lifted *= pb.weight[None, :]
+    rows1 = u[pb.i1]  # u[r1, :] for every output pair
+    rows2 = u[pb.i2]  # u[r2, :]
+    lifted = np.empty((pb.dim, pb.dim), dtype=complex)
+    block = max(1, _LIFT_BLOCK_BYTES // (lifted.itemsize * max(pb.dim, 1)))
+    for lo in range(0, pb.dim, block):
+        rows = slice(lo, lo + block)
+        a1, a2, out = rows1[rows], rows2[rows], lifted[rows]
+        np.multiply(a1.take(pb.i1, axis=1), a2.take(pb.i2, axis=1), out=out)
+        out += a1.take(pb.i2, axis=1) * a2.take(pb.i1, axis=1)
+        out *= pb.weight[rows, None]
+        out *= pb.weight[None, :]
     return lifted
+
+
+def oracle_memory_check(n_modes: int) -> None:
+    """Refuse an oracle whose three lifted step matrices exceed physical memory.
+
+    Each is dim x dim complex with dim = N(2N+1); raises
+    UnsupportedConfigError before anything of that size is allocated.
+    """
+    dim = n_modes * (2 * n_modes + 1)
+    need = 3 * dim * dim * np.dtype(complex).itemsize
+    avail = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > avail:
+        raise UnsupportedConfigError(
+            f"the exact oracle at N = {n_modes} needs {need / 1e9:.1f} GB for its "
+            f"lifted step matrices, more than the {avail / 1e9:.1f} GB of physical memory"
+        )
 
 
 # ---- states ---------------------------------------------------------------
@@ -301,10 +333,16 @@ class StepOperators:
     angles, so runs of several schedules on the same ``cfg`` may share one
     holder; each matrix is built on first use and then kept.  A lifted
     two-photon matrix is dim x dim complex with dim = N(2N+1), so a holder
-    keeps at most three of them alive.
+    keeps at most three of them alive.  Its peak memory is those three plus
+    the one ~4-MiB row block a lift fills at a time: ~204 MB peak RSS for
+    the N = 30 benchmark sweep, ~1.05 GB for the same sweep at N = 48.  A
+    device whose three matrices would not fit in physical memory is refused
+    with UnsupportedConfigError by :func:`oracle_memory_check` at
+    construction.
     """
 
     def __init__(self, cfg: DeviceConfig):
+        oracle_memory_check(cfg.n_modes)
         self.cfg = cfg
         self.singles: dict[PipelineStep, np.ndarray] = {}
         self.lifted: dict[PipelineStep, np.ndarray] = {}

@@ -343,6 +343,11 @@ def _circulant_symmetry_violations(g_vector: Sequence[float]) -> list[int]:
     return bad
 
 
+def coupler_angle_ok(theta: float) -> bool:
+    """A coupler angle is usable when finite and within [0, pi/2]."""
+    return math.isfinite(theta) and 0.0 <= theta <= math.pi / 2
+
+
 def validate_device(cfg: DeviceConfig) -> list[str]:
     """Check a device against its invariants; violations come back as data.
 
@@ -360,7 +365,7 @@ def validate_device(cfg: DeviceConfig) -> list[str]:
     if len(th) != cfg.n_modes:
         v.append(f"theta has {len(th)} entries for {cfg.n_modes} guides")
     for i, t in enumerate(th, start=1):
-        if not math.isfinite(t) or t < 0.0 or t > math.pi / 2:
+        if not coupler_angle_ok(t):
             v.append(f"coupler angle theta[{i}] = {t!r} outside [0, pi/2]")
     if not (math.isfinite(cfg.tau) and cfg.tau > 0.0):
         v.append(f"tau must be positive and finite, got {cfg.tau!r}")

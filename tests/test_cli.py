@@ -220,6 +220,30 @@ def test_bad_format_is_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("thetas, bad", [("0.5,2.0", "2.0"), ("0.5,-1", "-1.0"), ("0.5,nan", "nan")])
+def test_every_theta_is_checked_before_output(tmp_path, capsys, thetas, bad):
+    code, out = run(
+        tmp_path,
+        "correlate", "--n-modes", "4", "--inputs", "1,2", "--steps", "1",
+        "--theta", thetas, "--physical", "--formats", "csv",
+    )
+    assert code == 2
+    assert f"--theta value {bad} outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_too_large_for_memory_is_config_error(tmp_path, capsys):
+    code, out = run(
+        tmp_path,
+        "correlate", "--topology", "moebius", "--n-modes", "1000", "--inputs", "1,2",
+        "--steps", "1", "--formats", "csv", "--oracle",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "needs 192192.0 GB" in err and "GB of physical memory" in err
+    assert not out.exists()
+
+
 def test_dead_coupler_oracle_is_numeric_error(tmp_path):
     # theta = 0 never lets photons enter, the conditioned state is empty
     code, _ = run(

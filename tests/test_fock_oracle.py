@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from loopwalk.fock_oracle import (
     single_particle_step_matrix,
     transit_schedule,
 )
-from loopwalk.model import ConfigError, DeviceConfig, NumericError
+from loopwalk.model import ConfigError, DeviceConfig, NumericError, UnsupportedConfigError
 from loopwalk.propagate import transfer_matrix
 from loopwalk.spectra import eigen_tridiagonal
 
@@ -84,6 +86,41 @@ def test_lift_is_multiplicative():
 
 
 # ---- states ----------------------------------------------------------------
+
+
+def _reference_lift(u):
+    """The lift as one broadcast expression over the full dim x dim grid."""
+    pb = pair_basis(u.shape[0])
+    r1, r2 = pb.i1[:, None], pb.i2[:, None]
+    m1, m2 = pb.i1[None, :], pb.i2[None, :]
+    lifted = u[r1, m1] * u[r2, m2] + u[r1, m2] * u[r2, m1]
+    lifted *= pb.weight[:, None]
+    lifted *= pb.weight[None, :]
+    return lifted
+
+
+def _random_complex(size, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_lift_matches_reference_bitwise(n):
+    # at N = 30 the 1830 output rows span several row blocks, the last one short
+    u = _random_complex(2 * n, seed=n)
+    assert np.array_equal(lift_to_two_photon(u), _reference_lift(u))
+
+
+def test_lift_allocates_little_beyond_its_result():
+    u = _random_complex(60, seed=3)
+    pair_basis(60)
+    tracemalloc.start()
+    try:
+        lifted = lift_to_two_photon(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * lifted.nbytes
 
 
 def test_from_array_pair_amplitudes():
@@ -253,3 +290,9 @@ def test_operators_of_another_device_refused():
     ops = StepOperators(_twisted())
     with pytest.raises(ConfigError, match="another DeviceConfig"):
         delayed_run(_twisted(), 1, 7, 0, 1, operators=ops)
+
+
+def test_operators_beyond_physical_memory_refused():
+    # three 2001000 x 2001000 complex matrices: ~192 TB
+    with pytest.raises(UnsupportedConfigError, match="GB of physical memory"):
+        StepOperators(_cfg(1000))
