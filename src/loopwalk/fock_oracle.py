@@ -150,13 +150,14 @@ def lift_to_two_photon(u: np.ndarray) -> np.ndarray:
 
 
 def oracle_memory_check(n_modes: int) -> None:
-    """Refuse an oracle whose three lifted step matrices exceed physical memory.
+    """Refuse an oracle whose two lifted step matrices exceed physical memory.
 
-    Each is dim x dim complex with dim = N(2N+1); raises
-    UnsupportedConfigError before anything of that size is allocated.
+    Evolve and Couple are each lifted to a dim x dim complex matrix with
+    dim = N(2N+1); raises UnsupportedConfigError before anything of that
+    size is allocated.
     """
     dim = n_modes * (2 * n_modes + 1)
-    need = 3 * dim * dim * np.dtype(complex).itemsize
+    need = 2 * dim * dim * np.dtype(complex).itemsize
     avail = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > avail:
         raise UnsupportedConfigError(
@@ -327,23 +328,31 @@ def single_particle_step_matrix(step: PipelineStep, cfg: DeviceConfig) -> np.nda
 
 
 class StepOperators:
-    """One- and two-photon matrices of the linear steps of one device.
+    """One- and two-photon actions of the linear steps of one device.
 
     Evolve, Permute and Couple depend only on the device and its coupler
     angles, so runs of several schedules on the same ``cfg`` may share one
-    holder; each matrix is built on first use and then kept.  A lifted
-    two-photon matrix is dim x dim complex with dim = N(2N+1), so a holder
-    keeps at most three of them alive.  Its peak memory is those three plus
-    the one ~4-MiB row block a lift fills at a time: ~204 MB peak RSS for
-    the N = 30 benchmark sweep, ~1.05 GB for the same sweep at N = 48.  A
-    device whose three matrices would not fit in physical memory is refused
-    with UnsupportedConfigError by :func:`oracle_memory_check` at
-    construction.
+    holder.  Permute only relabels modes: ``relabel[k]`` is the index
+    gather that applies it to a k-photon amplitude vector, exactly, built at
+    construction.  Evolve and Couple are matrices, built on first use and
+    then kept.  A lifted two-photon matrix is dim x dim complex with
+    dim = N(2N+1), so a holder keeps at most two of them alive.  Its peak
+    memory is those two plus the one ~4-MiB row block a lift fills at a
+    time: ~150 MB peak RSS for the N = 30 benchmark sweep, ~715 MB for the
+    same sweep at N = 48.  A device whose two matrices would not fit in
+    physical memory is refused with UnsupportedConfigError by
+    :func:`oracle_memory_check` at construction.
     """
 
     def __init__(self, cfg: DeviceConfig):
         oracle_memory_check(cfg.n_modes)
         self.cfg = cfg
+        n = cfg.n_modes
+        pb = pair_basis(2 * n)
+        # Permute moves guide m to p(m), so guide r takes the amplitude of
+        # p^-1(r); a pair (r1, r2) takes that of (p^-1(r1), p^-1(r2))
+        one = np.concatenate([permutation_for(cfg).inverse().zero_based(), np.arange(n, 2 * n)])
+        self.relabel = {1: _readonly(one), 2: _readonly(pb.lookup[one[pb.i1], one[pb.i2]])}
         self.singles: dict[PipelineStep, np.ndarray] = {}
         self.lifted: dict[PipelineStep, np.ndarray] = {}
 
@@ -374,7 +383,6 @@ class StepRecord:
     survival_norm_sq: float
     post_selection_prob: float
     renormalized: bool
-    state: TwoPhotonState | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -420,7 +428,7 @@ def run_pipeline(
     Exactly two photons must enter the run, either through the initial
     state or through InjectB steps; anything else is a ConfigError.  One
     StepRecord is emitted per ProjectBVacuum step.  ``operators`` shares
-    the step matrices of a :class:`StepOperators` built for this very
+    the step actions of a :class:`StepOperators` built for this very
     ``cfg`` object; without it the run builds its own.
     """
     n = cfg.n_modes
@@ -461,7 +469,10 @@ def run_pipeline(
     proj_count = 0
 
     for step in schedule:
-        if isinstance(step, (Evolve, Permute, Couple)):
+        if isinstance(step, Permute):
+            if nphot:
+                vec = vec[operators.relabel[nphot]]
+        elif isinstance(step, (Evolve, Couple)):
             if nphot == 1:
                 vec = operators.one_photon(step) @ vec
             elif nphot == 2:
@@ -516,7 +527,6 @@ def run_pipeline(
                     survival_norm_sq=post,
                     post_selection_prob=cumulative,
                     renormalized=step.renormalize,
-                    state=TwoPhotonState(n, vec) if nphot == 2 else None,
                 )
             )
         else:

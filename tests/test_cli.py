@@ -240,7 +240,7 @@ def test_oracle_too_large_for_memory_is_config_error(tmp_path, capsys):
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "needs 192192.0 GB" in err and "GB of physical memory" in err
+    assert "needs 128128.0 GB" in err and "GB of physical memory" in err
     assert not out.exists()
 
 
@@ -399,8 +399,8 @@ def test_oracle_lifts_step_matrices_once_per_theta(tmp_path, monkeypatch):
         "--inputs", "1,4;2,5", "--steps", "1..2", "--delay", "0,1", "--oracle",
     )
     assert code == 0
-    # 2 thetas x 3 step kinds; one run per (theta, delay, pair) would lift 24
-    assert len(calls) == 6
+    # 2 thetas x Evolve and Couple; Permute is a gather, never lifted
+    assert len(calls) == 4
     report = json.loads((out / "oracle_diff.json").read_text())
     assert len(report["entries"]) == 2 * 2 * 2 * 2
 

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from loopwalk.fock_oracle import (
     Couple,
@@ -283,7 +286,58 @@ def test_shared_operators_match_fresh_runs():
             assert np.array_equal(a.coincidences, b.coincidences)
             assert a.post_selection_prob == b.post_selection_prob
         assert np.array_equal(shared.final_state.amps, fresh.final_state.amps)
-    assert set(ops.lifted) == {Evolve(), Permute(), Couple()}
+    assert set(ops.lifted) == {Evolve(), Couple()}
+
+
+@st.composite
+def relabelled_amplitudes(draw, photons):
+    """A custom device with a random loop permutation, N <= 8, and a random
+    amplitude vector over its one-photon modes or its mode pairs."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    perm = draw(st.permutations(range(1, n + 1)))
+    cfg = DeviceConfig(
+        topology="custom", n_modes=n, theta=0.5, custom_g=np.zeros((n, n)), custom_perm=perm
+    )
+    size = 2 * n if photons == 1 else pair_basis(2 * n).dim
+    parts = draw(hnp.arrays(np.float64, (2, size), elements=st.floats(-1.0, 1.0)))
+    return cfg, parts[0] + 1j * parts[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=relabelled_amplitudes(photons=1))
+def test_one_photon_relabel_is_the_permute_matrix(case):
+    cfg, vec = case
+    u = single_particle_step_matrix(Permute(), cfg)
+    assert np.array_equal(vec[StepOperators(cfg).relabel[1]], u @ vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=relabelled_amplitudes(photons=2))
+def test_two_photon_relabel_is_the_lifted_permute_matrix(case):
+    cfg, vec = case
+    pb = pair_basis(2 * cfg.n_modes)
+    got = vec[StepOperators(cfg).relabel[2]]
+    want = lift_to_two_photon(single_particle_step_matrix(Permute(), cfg)) @ vec
+    single = pb.i1 != pb.i2
+    assert np.array_equal(got[single], want[single])
+    # the lift weights a doubly occupied pair by 2 (1/sqrt 2)^2 = 1 - 2^-52
+    double = ~single
+    assert np.all(np.abs(got[double] - want[double]) <= 3e-16 * np.abs(got[double]))
+
+
+def test_sweep_holds_two_lifted_matrices():
+    # at N = 30 a lift's ~4-MiB row block is small against its 53.6-MB
+    # result, so the peak is two lifted matrices plus the block's temporaries
+    cfg = _twisted(n=30)
+    delayed_run(cfg, 1, 7, 2, 2)
+    lifted_bytes = pair_basis(60).dim ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        delayed_run(cfg, 1, 7, 2, 4, operators=StepOperators(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * lifted_bytes
 
 
 def test_operators_of_another_device_refused():
@@ -293,6 +347,6 @@ def test_operators_of_another_device_refused():
 
 
 def test_operators_beyond_physical_memory_refused():
-    # three 2001000 x 2001000 complex matrices: ~192 TB
+    # two 2001000 x 2001000 complex matrices: ~128 TB
     with pytest.raises(UnsupportedConfigError, match="GB of physical memory"):
         StepOperators(_cfg(1000))
