@@ -6,7 +6,7 @@ spectral solvers for the coupling matrices, and a physical feasibility
 calculator for the optical loop.
 """
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 from .model import (
     ConfigError,
@@ -18,7 +18,6 @@ from .model import (
     Permutation,
     UnsupportedConfigError,
     permutation_for,
-    validate_device,
 )
 from .spectra import (
     build_circulant,
@@ -64,7 +63,6 @@ __all__ = [
     "DeviceConfig",
     "CorrelationMatrix",
     "permutation_for",
-    "validate_device",
     "build_tridiagonal",
     "build_circulant",
     "eigen_tridiagonal",

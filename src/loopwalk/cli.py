@@ -41,7 +41,6 @@ from .model import (
     coupler_angle_ok,
     permutation_for,
     uniform_angle,
-    validate_device,
 )
 from .spectra import eigensystem_for
 
@@ -70,15 +69,6 @@ class RunManifest:
     oracle: bool
 
     def __post_init__(self):
-        for axis, name in (
-            (self.steps, "steps"),
-            (self.delays, "delays"),
-            (self.input_pairs, "input pairs"),
-            (self.thetas, "thetas"),
-            (self.kinds, "kinds"),
-        ):
-            if len(axis) == 0:
-                raise ConfigError(f"sweep axis {name} must be non-empty")
         bad = set(self.formats) - set(_FORMATS)
         if bad:
             raise ConfigError(f"unknown output formats {sorted(bad)}; choose from {_FORMATS}")
@@ -186,11 +176,8 @@ def _device_from_args(args, theta) -> DeviceConfig:
     n_modes = args.n_modes if args.n_modes is not None else 21
     tau = args.tau if args.tau is not None else 1.0
     omega = args.omega if args.omega is not None else 0.0
-    shift_c = args.shift_c
     g_vector = None
     if topology == "twisted_circle":
-        if shift_c is None:
-            raise ConfigError("twisted_circle requires --shift-c")
         if args.g_vector is not None:
             g_vector = _parse_float_list(args.g_vector)
         else:
@@ -206,7 +193,7 @@ def _device_from_args(args, theta) -> DeviceConfig:
         theta=theta,
         tau=tau,
         omega=omega,
-        shift_c=shift_c,
+        shift_c=args.shift_c,
         g_vector=g_vector,
     )
 
@@ -219,12 +206,6 @@ def _thetas_from_args(args) -> tuple[float, ...]:
         if not coupler_angle_ok(theta):
             raise ConfigError(f"--theta value {theta!r} outside [0, pi/2]")
     return thetas
-
-
-def _check_device(cfg: DeviceConfig):
-    violations = validate_device(cfg)
-    if violations:
-        raise ConfigError("invalid device config:\n  " + "\n  ".join(violations))
 
 
 def _out_dir(args) -> str:
@@ -292,7 +273,6 @@ def _cell_name(kind: str, rescaled: bool, ti: int, nd: int, n: int, j: int, k: i
 def cmd_correlate(args) -> int:
     thetas = _thetas_from_args(args)
     base_cfg = _device_from_args(args, thetas[0])
-    _check_device(base_cfg)
     if args.config:
         # --theta is refused with --config, so the file's one angle is swept
         thetas = (uniform_angle(base_cfg.theta),)
@@ -442,7 +422,6 @@ def _oracle_cell(cfg, theta, ti, matrix, run, formats, out_dir) -> tuple:
 
 def cmd_spectra(args) -> int:
     cfg = _device_from_args(args, _thetas_from_args(args)[0])
-    _check_device(cfg)
     es = eigensystem_for(cfg)
     for idx, lam in enumerate(es.eigenvalues, start=1):
         print(f"lambda_{idx} = {lam:.12g}")
@@ -461,7 +440,6 @@ def cmd_spectra(args) -> int:
 
 def cmd_modes(args) -> int:
     cfg = _device_from_args(args, _thetas_from_args(args)[0])
-    _check_device(cfg)
     es = eigensystem_for(cfg)
     p = permutation_for(cfg)
     groups = invariant_modes(es, p, tol=args.tol)

@@ -253,10 +253,14 @@ def invariant_modes(
     null space of (P - 1) restricted to the cluster span, found by SVD.
 
     Eigenvalues within ``degeneracy_tol`` (relative to the spectral scale)
-    of each other are treated as one cluster.
+    of each other are treated as one cluster.  Both tolerances must be
+    finite and non-negative.
     """
     if es.n != p.n:
         raise ConfigError(f"eigensystem on {es.n} modes, permutation on {p.n}")
+    for name, value in (("tol", tol), ("degeneracy_tol", degeneracy_tol)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
     lam = es.eigenvalues
     scale = max(1.0, float(np.max(np.abs(lam))))
     thr = degeneracy_tol * scale

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .model import ConfigError
+from .model import ConfigError, as_float, as_int
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -115,23 +115,15 @@ class PhysicalParams:
         missing = required - set(d)
         if missing:
             raise ConfigError(f"missing physical parameter keys: {sorted(missing)}")
-        return cls(
-            wavelength_m=float(d["wavelength_m"]),
-            background_index=float(d["background_index"]),
-            loop_radius_m=float(d["loop_radius_m"]),
-            bend_loss_per_cm=float(d["bend_loss_per_cm"]),
-            pulse_width_s=float(d["pulse_width_s"]),
-            dispersion_ps_nm_km=float(d["dispersion_ps_nm_km"]),
-            coupler_separation_m=float(d["coupler_separation_m"]),
-            transits=int(d["transits"]),
-            group_index=None if d.get("group_index") is None else float(d["group_index"]),
-            bandwidth_hz=None if d.get("bandwidth_hz") is None else float(d["bandwidth_hz"]),
-            bandwidth_wavelength_m=(
-                None
-                if d.get("bandwidth_wavelength_m") is None
-                else float(d["bandwidth_wavelength_m"])
-            ),
-        )
+        converted = {}
+        for key, value in d.items():
+            if value is None and key not in required:
+                continue  # an optional key given as null is absent
+            try:
+                converted[key] = as_int(value) if key == "transits" else as_float(value)
+            except (TypeError, OverflowError) as exc:
+                raise ConfigError(f"physical parameter {key}: {exc}") from None
+        return cls(**converted)
 
     @classmethod
     def from_json(cls, text: str) -> "PhysicalParams":

@@ -312,8 +312,6 @@ def single_particle_step_matrix(step: PipelineStep, cfg: DeviceConfig) -> np.nda
         return u
     if isinstance(step, Couple):
         theta = np.asarray(cfg.theta, dtype=float)
-        if theta.shape != (n,):
-            raise ConfigError(f"theta must have one entry per guide, got {len(theta)}")
         u = np.zeros((2 * n, 2 * n), dtype=complex)
         idx = np.arange(n)
         u[idx, idx] = np.cos(theta)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -231,15 +232,63 @@ def uniform_angle(theta) -> float:
     return float(th[0])
 
 
+def as_int(value) -> int:
+    """``value`` as an int; a float, string, bool or None is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def as_float(value) -> float:
+    """``value`` as a float; a string, bool or None is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+_LISTS = (list, tuple, np.ndarray)
+
+
+def _each(convert, values) -> tuple:
+    if not isinstance(values, _LISTS):
+        raise TypeError(f"expected a list, got {values!r}")
+    return tuple(convert(v) for v in values)
+
+
+def _float_matrix(value, n: int) -> np.ndarray:
+    g = np.asarray(value)
+    if g.ndim == 0 or g.dtype.kind not in "iuf":
+        raise TypeError("expected a list of numbers")
+    g = g.astype(float)
+    if g.ndim == 1 and g.size == n**2:
+        g = g.reshape(n, n)
+    return _readonly(g)
+
+
+# How each field is converted, n_modes first since a scalar theta is
+# broadcast over it; a None in an optional field is kept as None.
+_CONVERTERS = {
+    "n_modes": lambda v, n: as_int(v),
+    "theta": lambda v, n: _each(as_float, v) if isinstance(v, _LISTS) else (as_float(v),) * n,
+    "tau": lambda v, n: as_float(v),
+    "omega": lambda v, n: as_float(v),
+    "shift_c": lambda v, n: as_int(v),
+    "g_vector": lambda v, n: _each(as_float, v),
+    "custom_g": _float_matrix,
+    "custom_perm": lambda v, n: _each(as_int, v),
+}
+_OPTIONAL = {"shift_c", "g_vector", "custom_g", "custom_perm"}
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     """Complete description of one looped-array experiment.
 
-    ``theta`` may be given as a scalar (broadcast to every guide) or as a
-    per-guide sequence; it is stored per guide.  Construction only
-    normalises shapes; physics-level checks are reported by
-    :func:`validate_device` so that invalid configurations can be
-    inspected as data rather than exceptions.
+    A DeviceConfig that exists is valid: construction converts every field,
+    refusing a count (``n_modes``, ``shift_c``, ``custom_perm`` entries)
+    that is not an integer, then raises one ConfigError listing every
+    violated invariant.  ``theta`` is a scalar (broadcast to every guide) or
+    one angle per guide, and is stored per guide.
     """
 
     topology: str
@@ -253,23 +302,75 @@ class DeviceConfig:
     custom_perm: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        th = self.theta
-        if np.isscalar(th):
-            th = (float(th),) * int(self.n_modes)
-        else:
-            th = tuple(float(t) for t in th)
-        object.__setattr__(self, "theta", th)
-        if self.g_vector is not None:
-            object.__setattr__(self, "g_vector", tuple(float(g) for g in self.g_vector))
-        if self.custom_g is not None:
-            g = np.array(self.custom_g, dtype=float)
-            if g.ndim == 1 and g.size == self.n_modes**2:
-                g = g.reshape(self.n_modes, self.n_modes)
-            object.__setattr__(self, "custom_g", _readonly(g))
-        if self.custom_perm is not None:
-            object.__setattr__(
-                self, "custom_perm", tuple(int(v) for v in self.custom_perm)
-            )
+        for name, convert in _CONVERTERS.items():
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL:
+                continue
+            try:
+                value = convert(value, self.n_modes)
+            except (TypeError, ValueError, OverflowError) as exc:
+                key = "custom_G" if name == "custom_g" else name
+                raise ConfigError(f"invalid device config:\n  {key}: {exc}") from None
+            object.__setattr__(self, name, value)
+        violations = self._violations()
+        if violations:
+            raise ConfigError("invalid device config:\n  " + "\n  ".join(violations))
+
+    def _violations(self) -> list[str]:
+        v: list[str] = []
+        if self.topology not in TOPOLOGIES:
+            v.append(f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}")
+        n = self.n_modes
+        if n < 1:
+            v.append(f"n_modes must be a positive integer, got {n!r}")
+            return v  # nothing below is meaningful without a mode count
+
+        if len(self.theta) != n:
+            v.append(f"theta has {len(self.theta)} entries for {n} guides")
+        for i, t in enumerate(self.theta, start=1):
+            if not coupler_angle_ok(t):
+                v.append(f"coupler angle theta[{i}] = {t!r} outside [0, pi/2]")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            v.append(f"tau must be positive and finite, got {self.tau!r}")
+        if not math.isfinite(self.omega):
+            v.append(f"omega must be finite, got {self.omega!r}")
+
+        if self.topology == "twisted_circle":
+            if self.shift_c is None:
+                v.append("twisted_circle requires shift_c")
+            elif not 0 <= self.shift_c < n:
+                v.append(f"shift_c = {self.shift_c} outside 0..{n - 1}")
+            if self.g_vector is None:
+                v.append("twisted_circle requires g_vector")
+            elif len(self.g_vector) != n:
+                v.append(f"g_vector has {len(self.g_vector)} entries for {n} modes")
+            elif not all(math.isfinite(g) for g in self.g_vector):
+                v.append("g_vector entries must be finite")
+            else:
+                for j in _circulant_symmetry_violations(self.g_vector):
+                    v.append(
+                        f"circulant symmetry violated: g_{j} != g_{n - j + 2} "
+                        "(the coupling matrix would not be symmetric)"
+                    )
+
+        if self.topology == "custom":
+            if self.custom_g is None:
+                v.append("custom topology requires custom_G")
+            else:
+                try:
+                    CouplingMatrix(n, self.custom_g)
+                except ConfigError as exc:
+                    v.append(f"custom_G: {exc}")
+            if self.custom_perm is None:
+                v.append("custom topology requires custom_perm")
+            elif len(self.custom_perm) != n:
+                v.append(f"custom_perm has {len(self.custom_perm)} entries for {n} guides")
+            else:
+                try:
+                    Permutation(self.custom_perm)
+                except ConfigError as exc:
+                    v.append(f"custom_perm: {exc}")
+        return v
 
     # -- JSON round trip --
 
@@ -301,17 +402,13 @@ class DeviceConfig:
         for key in ("topology", "n_modes", "theta"):
             if key not in d:
                 raise ConfigError(f"device config missing required key {key!r}")
-        try:
-            n = int(d["n_modes"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"n_modes must be an integer, got {d['n_modes']!r}")
         return cls(
-            topology=str(d["topology"]),
-            n_modes=n,
+            topology=d["topology"],
+            n_modes=d["n_modes"],
             theta=d["theta"],
-            tau=float(d.get("tau", 1.0)),
-            omega=float(d.get("omega", 0.0)),
-            shift_c=None if d.get("shift_c") is None else int(d["shift_c"]),
+            tau=d.get("tau", 1.0),
+            omega=d.get("omega", 0.0),
+            shift_c=d.get("shift_c"),
             g_vector=d.get("g_vector"),
             custom_g=d.get("custom_G"),
             custom_perm=d.get("custom_perm"),
@@ -334,84 +431,13 @@ class DeviceConfig:
 
 def _circulant_symmetry_violations(g_vector: Sequence[float]) -> list[int]:
     """1-based positions j > N/2 + 1 where g_j != g_{N-j+2} (exact test)."""
-    g = list(g_vector)
-    n = len(g)
-    bad = []
-    for j in range(int(n / 2 + 1) + 1, n + 1):
-        if g[j - 1] != g[n - j + 1]:
-            bad.append(j)
-    return bad
+    n = len(g_vector)
+    return [j for j in range(n // 2 + 2, n + 1) if g_vector[j - 1] != g_vector[n - j + 1]]
 
 
 def coupler_angle_ok(theta: float) -> bool:
     """A coupler angle is usable when finite and within [0, pi/2]."""
     return math.isfinite(theta) and 0.0 <= theta <= math.pi / 2
-
-
-def validate_device(cfg: DeviceConfig) -> list[str]:
-    """Check a device against its invariants; violations come back as data.
-
-    An empty list means the configuration is usable by every code path
-    appropriate to its topology.
-    """
-    v: list[str] = []
-    if cfg.topology not in TOPOLOGIES:
-        v.append(f"unknown topology {cfg.topology!r}; expected one of {TOPOLOGIES}")
-    if not isinstance(cfg.n_modes, int) or cfg.n_modes < 1:
-        v.append(f"n_modes must be a positive integer, got {cfg.n_modes!r}")
-        return v  # nothing below is meaningful without a mode count
-
-    th = cfg.theta
-    if len(th) != cfg.n_modes:
-        v.append(f"theta has {len(th)} entries for {cfg.n_modes} guides")
-    for i, t in enumerate(th, start=1):
-        if not coupler_angle_ok(t):
-            v.append(f"coupler angle theta[{i}] = {t!r} outside [0, pi/2]")
-    if not (math.isfinite(cfg.tau) and cfg.tau > 0.0):
-        v.append(f"tau must be positive and finite, got {cfg.tau!r}")
-    if not math.isfinite(cfg.omega):
-        v.append(f"omega must be finite, got {cfg.omega!r}")
-
-    if cfg.topology == "twisted_circle":
-        if cfg.shift_c is None:
-            v.append("twisted_circle requires shift_c")
-        elif not 0 <= cfg.shift_c < cfg.n_modes:
-            v.append(f"shift_c = {cfg.shift_c} outside 0..{cfg.n_modes - 1}")
-        if cfg.g_vector is None:
-            v.append("twisted_circle requires g_vector")
-        else:
-            if len(cfg.g_vector) != cfg.n_modes:
-                v.append(
-                    f"g_vector has {len(cfg.g_vector)} entries for {cfg.n_modes} modes"
-                )
-            elif not all(math.isfinite(g) for g in cfg.g_vector):
-                v.append("g_vector entries must be finite")
-            else:
-                for j in _circulant_symmetry_violations(cfg.g_vector):
-                    n = cfg.n_modes
-                    v.append(
-                        f"circulant symmetry violated: g_{j} != g_{n - j + 2} "
-                        "(the coupling matrix would not be symmetric)"
-                    )
-
-    if cfg.topology == "custom":
-        if cfg.custom_g is None:
-            v.append("custom topology requires custom_G")
-        else:
-            g = cfg.custom_g
-            if g.shape != (cfg.n_modes, cfg.n_modes):
-                v.append(f"custom_G shape {g.shape} does not match n_modes={cfg.n_modes}")
-            else:
-                if not np.all(np.isfinite(g)):
-                    v.append("custom_G entries must be finite")
-                if not np.array_equal(g, g.T):
-                    v.append("custom_G must be exactly symmetric")
-        if cfg.custom_perm is None:
-            v.append("custom topology requires custom_perm")
-        elif sorted(cfg.custom_perm) != list(range(1, cfg.n_modes + 1)):
-            v.append(f"custom_perm is not a permutation of 1..{cfg.n_modes}")
-
-    return v
 
 
 def permutation_for(cfg: DeviceConfig) -> Permutation:
@@ -426,15 +452,8 @@ def permutation_for(cfg: DeviceConfig) -> Permutation:
     if cfg.topology == "moebius":
         return Permutation.mirror(n)
     if cfg.topology == "twisted_circle":
-        c = cfg.shift_c
-        if c is None or not 0 <= c < n:
-            raise ConfigError(f"twisted_circle needs shift_c in 0..{n - 1}, got {c!r}")
-        return Permutation.cyclic(n, c)
-    if cfg.topology == "custom":
-        if cfg.custom_perm is None:
-            raise ConfigError("custom topology requires custom_perm")
-        return Permutation(cfg.custom_perm)
-    raise ConfigError(f"unknown topology {cfg.topology!r}")
+        return Permutation.cyclic(n, cfg.shift_c)
+    return Permutation(cfg.custom_perm)
 
 
 # ---- correlation matrices ----------------------------------------------

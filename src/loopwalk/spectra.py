@@ -189,17 +189,11 @@ def coupling_for(cfg: DeviceConfig) -> CouplingMatrix:
     if cfg.topology in ("cylinder", "moebius"):
         return build_tridiagonal(cfg.n_modes, omega=cfg.omega, g=1.0)
     if cfg.topology == "twisted_circle":
-        if cfg.g_vector is None:
-            raise ConfigError("twisted_circle requires g_vector")
         g = list(cfg.g_vector)
         if cfg.omega:
             g[0] = g[0] + cfg.omega
         return build_circulant(cfg.n_modes, g)
-    if cfg.topology == "custom":
-        if cfg.custom_g is None:
-            raise ConfigError("custom topology requires custom_G")
-        return CouplingMatrix(cfg.n_modes, cfg.custom_g)
-    raise ConfigError(f"unknown topology {cfg.topology!r}")
+    return CouplingMatrix(cfg.n_modes, cfg.custom_g)
 
 
 def eigensystem_for(cfg: DeviceConfig) -> EigenSystem:
@@ -208,6 +202,4 @@ def eigensystem_for(cfg: DeviceConfig) -> EigenSystem:
         return eigen_tridiagonal(cfg.n_modes, omega=cfg.omega, g=1.0)
     if cfg.topology == "twisted_circle":
         return eigen_circulant(cfg.n_modes, coupling_for(cfg).g[0, :])
-    if cfg.topology == "custom":
-        return eigen_numeric(coupling_for(cfg))
-    raise ConfigError(f"unknown topology {cfg.topology!r}")
+    return eigen_numeric(coupling_for(cfg))

@@ -286,20 +286,40 @@ def test_modes_lists_uniform_mode(capsys):
     assert "invariant modes: 1 of 3" in out
 
 
-def test_feasibility_report(tmp_path, capsys):
-    params = {
-        "wavelength_m": 800e-9,
-        "background_index": 1.44,
-        "loop_radius_m": 0.2,
-        "bend_loss_per_cm": 6.8e-7,
-        "pulse_width_s": 20e-12,
-        "dispersion_ps_nm_km": -150.0,
-        "coupler_separation_m": 10e-6,
-        "transits": 100,
-        "bandwidth_wavelength_m": 17e-12,
-    }
+@pytest.mark.parametrize("topology, tol", [("cylinder", "nan"), ("moebius", "inf"), ("cylinder", "-1")])
+def test_modes_bad_tolerance_is_config_error(topology, tol, capsys):
+    # nan certified none of the 5 cylinder modes, inf all 5 moebius ones (3 are)
+    argv = ["modes", "--topology", topology, "--n-modes", "5", "--tol", tol]
+    assert main(argv) == 2
+    assert "config error: tol must be finite and >= 0" in capsys.readouterr().err
+
+
+FEASIBILITY_PARAMS = {
+    "wavelength_m": 800e-9,
+    "background_index": 1.44,
+    "loop_radius_m": 0.2,
+    "bend_loss_per_cm": 6.8e-7,
+    "pulse_width_s": 20e-12,
+    "dispersion_ps_nm_km": -150.0,
+    "coupler_separation_m": 10e-6,
+    "transits": 100,
+    "bandwidth_wavelength_m": 17e-12,
+}
+
+
+@pytest.mark.parametrize("key, value", [("wavelength_m", "abc"), ("transits", None), ("transits", 2.5)])
+def test_feasibility_wrong_json_type_is_config_error(tmp_path, capsys, key, value):
     pfile = tmp_path / "params.json"
-    pfile.write_text(json.dumps(params))
+    pfile.write_text(json.dumps({**FEASIBILITY_PARAMS, key: value}))
+    report = tmp_path / "report.json"
+    assert main(["feasibility", str(pfile), "--out", str(report)]) == 2
+    assert f"config error: physical parameter {key}: expected" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_feasibility_report(tmp_path, capsys):
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(FEASIBILITY_PARAMS))
     assert main(["feasibility", str(pfile)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert abs(report["budget"]["loss_fraction"] - 0.0085087) < 1e-7

@@ -17,7 +17,6 @@ from loopwalk.model import (
     Permutation,
     UnsupportedConfigError,
     permutation_for,
-    validate_device,
 )
 from loopwalk.fock_oracle import delayed_run
 from loopwalk.propagate import permute_modes, transfer_matrix
@@ -332,7 +331,6 @@ def non_commuting_device():
 
 def test_non_commuting_loop_refused():
     cfg = non_commuting_device()
-    assert validate_device(cfg) == []
     p = permutation_for(cfg)
     assert np.max(np.abs(permute_modes(cfg.custom_g, p) - cfg.custom_g)) > 1.0
     # why it is refused: the relabelled closed form drifts from the exact
@@ -399,6 +397,14 @@ def test_chain_modes_alternate_mirror_parity():
     by_mode = {g.mode_indices[0]: g for g in groups}
     assert all(g.dim == 1 for g in groups)
     assert [by_mode[m].invariant_dim for m in (1, 2, 3, 4, 5)] == [1, 0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("name", ["tol", "degeneracy_tol"])
+def test_invariant_modes_refuse_bad_tolerances(name, bad):
+    # a nan tol certified no mode and an inf one every mode
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        invariant_modes(eigen_tridiagonal(5), Permutation.mirror(5), **{name: bad})
 
 
 def test_ring_modes_under_shift():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -167,6 +168,23 @@ def test_json_round_trip():
     }
     back = PhysicalParams.from_json(json.dumps(d))
     assert back == p
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("wavelength_m", "abc", "expected a number, got 'abc'"),
+        ("transits", None, "expected an integer, got None"),
+        ("transits", 2.5, "expected an integer, got 2.5"),
+    ],
+)
+def test_json_values_of_the_wrong_type_are_refused(key, value, message):
+    glass = dataclasses.asdict(PhysicalParams.glass_800nm())
+    d = {k: v for k, v in glass.items() if v is not None}
+    assert PhysicalParams.from_json(json.dumps(d)) == PhysicalParams.glass_800nm()
+    d[key] = value
+    with pytest.raises(ConfigError, match=f"{key}: {message}"):
+        PhysicalParams.from_json(json.dumps(d))
 
 
 def test_json_rejects_unknown_and_missing_keys():

@@ -13,7 +13,6 @@ from loopwalk.model import (
     UnsupportedConfigError,
     permutation_for,
     uniform_angle,
-    validate_device,
 )
 
 
@@ -197,7 +196,6 @@ def test_device_json_round_trip(cfg):
     else:
         assert np.array_equal(back.custom_g, cfg.custom_g)
     assert back.custom_perm == cfg.custom_perm
-    assert validate_device(back) == validate_device(cfg)
 
 
 def test_unknown_config_key_rejected():
@@ -211,50 +209,61 @@ def test_config_requires_core_keys():
 
 
 def test_validate_flags_bad_coupler_angle():
-    cfg = DeviceConfig(topology="cylinder", n_modes=3, theta=2.0)
-    msgs = validate_device(cfg)
-    assert any("coupler angle" in m for m in msgs)
+    with pytest.raises(ConfigError, match="coupler angle"):
+        DeviceConfig(topology="cylinder", n_modes=3, theta=2.0)
 
 
 def test_validate_flags_circulant_asymmetry():
-    cfg = DeviceConfig(
-        topology="twisted_circle",
-        n_modes=4,
-        theta=0.3,
-        shift_c=1,
-        g_vector=(0.0, 1.0, 0.0, 2.0),  # g_2 != g_4
-    )
-    msgs = validate_device(cfg)
-    assert any("circulant symmetry" in m for m in msgs)
+    with pytest.raises(ConfigError, match="circulant symmetry"):
+        DeviceConfig(
+            topology="twisted_circle",
+            n_modes=4,
+            theta=0.3,
+            shift_c=1,
+            g_vector=(0.0, 1.0, 0.0, 2.0),  # g_2 != g_4
+        )
 
 
 def test_validate_accepts_good_devices():
-    assert validate_device(DeviceConfig(topology="cylinder", n_modes=21, theta=np.pi / 4)) == []
-    assert (
-        validate_device(
-            DeviceConfig(
-                topology="twisted_circle",
-                n_modes=12,
-                theta=0.2,
-                shift_c=4,
-                g_vector=(0.0, 1.0) + (0.0,) * 9 + (1.0,),
-            )
-        )
-        == []
+    DeviceConfig(topology="cylinder", n_modes=21, theta=np.pi / 4)
+    DeviceConfig(
+        topology="twisted_circle",
+        n_modes=12,
+        theta=0.2,
+        shift_c=4,
+        g_vector=(0.0, 1.0) + (0.0,) * 9 + (1.0,),
     )
 
 
 def test_validate_custom_topology():
-    bad = DeviceConfig(
-        topology="custom",
-        n_modes=2,
-        theta=0.1,
-        custom_g=np.array([[0.0, 1.0], [2.0, 0.0]]),
-        custom_perm=(1, 1),
-    )
-    msgs = validate_device(bad)
-    assert any("symmetric" in m for m in msgs)
-    assert any("permutation" in m for m in msgs)
+    with pytest.raises(ConfigError, match="(?s)symmetric.*permutation"):
+        DeviceConfig(
+            topology="custom",
+            n_modes=2,
+            theta=0.1,
+            custom_g=np.array([[0.0, 1.0], [2.0, 0.0]]),
+            custom_perm=(1, 1),
+        )
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("n_modes", dict(topology="moebius", n_modes=4.7)),
+        ("n_modes", dict(topology="moebius", n_modes="5")),
+        ("n_modes", dict(topology="moebius", n_modes=True)),
+        ("shift_c", dict(topology="twisted_circle", n_modes=3, shift_c=1.5, g_vector=(0, 1, 1))),
+        ("custom_perm", dict(topology="custom", n_modes=2, custom_g=np.eye(2), custom_perm=(1.0, 2.0))),
+    ],
+)
+def test_counts_must_be_integers(field, kwargs):
+    with pytest.raises(ConfigError, match=f"{field}: expected an integer"):
+        DeviceConfig(theta=0.5, **kwargs)
+
+
+def test_invalid_device_cannot_be_built():
+    with pytest.raises(ConfigError, match=r"(?s)theta\[5\] = 2.0 outside.*tau must be positive"):
+        DeviceConfig(topology="moebius", n_modes=5, theta=2.0, tau=-1.0)
 
 
 def test_custom_g_accepts_flat_vector():
@@ -266,7 +275,6 @@ def test_custom_g_accepts_flat_vector():
         custom_perm=(1, 2),
     )
     assert cfg.custom_g.shape == (2, 2)
-    assert validate_device(cfg) == []
 
 
 # ---- loop relabellings per topology ----------------------------------------------
@@ -291,15 +299,14 @@ def test_permutation_for_each_topology():
 
 
 def test_permutation_for_shift_out_of_range():
-    cfg = DeviceConfig(
-        topology="twisted_circle",
-        n_modes=5,
-        theta=0.1,
-        shift_c=5,
-        g_vector=(0.0, 1.0, 0.0, 0.0, 1.0),
-    )
-    with pytest.raises(ConfigError):
-        permutation_for(cfg)
+    with pytest.raises(ConfigError, match="shift_c = 5 outside 0..4"):
+        DeviceConfig(
+            topology="twisted_circle",
+            n_modes=5,
+            theta=0.1,
+            shift_c=5,
+            g_vector=(0.0, 1.0, 0.0, 0.0, 1.0),
+        )
 
 
 # ---- correlation matrix record ------------------------------------------------------

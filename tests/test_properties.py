@@ -5,9 +5,16 @@ with the exact simulator on a few fixed devices; here hypothesis draws
 the devices: every topology, N <= 8, any coupler angle, transit time and
 common mode frequency, any symmetric circulant ring, and custom couplings
 G = sum_k a_k (P^k + P^-k), which commute with their random loop
-permutation P by construction.
+permutation P by construction.  Every drawn device round-trips through
+its JSON form, and a drawn device's JSON with one field of the wrong type
+or out of range, or one key missing or unknown, is refused by
+``correlate --config`` with exit code 2.
 """
 
+import contextlib
+import io
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +29,7 @@ from loopwalk.correlations import (
     symmetry_map,
 )
 from loopwalk.fock_oracle import StepOperators, delayed_run
-from loopwalk.model import DeviceConfig, Permutation, permutation_for
+from loopwalk.model import TOPOLOGIES, DeviceConfig, Permutation, permutation_for
 from loopwalk.propagate import permute_modes
 from loopwalk.spectra import eigensystem_for
 
@@ -62,6 +69,69 @@ def devices(draw, topologies=("cylinder", "moebius", "twisted_circle", "custom")
             power = p.matrix() @ power
         cfg.update(custom_g=g, custom_perm=p.mapping)
     return DeviceConfig(**cfg)
+
+
+# JSON values of the wrong type for a device key (None in an optional key
+# means absent, so it is wrong only for a required one)
+_lists = st.lists(st.integers(), max_size=2)
+_maps = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+_texts = st.text(max_size=3)
+_not_numbers = st.lists(st.one_of(st.none(), st.booleans(), _texts), min_size=1, max_size=3)
+_non_integral = st.floats().filter(lambda x: not x.is_integer())
+_WRONG_TYPES = {
+    "topology": st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _lists, _maps),
+    "n_modes": st.one_of(st.none(), st.booleans(), _texts, st.floats(), _lists, _maps),
+    "theta": st.one_of(st.none(), st.booleans(), _texts, _maps, _not_numbers),
+    "tau": st.one_of(st.none(), st.booleans(), _texts, _lists, _maps),
+    "omega": st.one_of(st.none(), st.booleans(), _texts, _lists, _maps),
+    "shift_c": st.one_of(st.booleans(), _texts, st.floats(), _lists, _maps),
+    "g_vector": st.one_of(st.booleans(), _texts, st.integers(), st.floats(), _maps, _not_numbers),
+    "custom_G": st.one_of(st.booleans(), _texts, st.integers(), st.floats(), _maps, _not_numbers),
+    "custom_perm": st.one_of(
+        st.booleans(), _texts, st.integers(), st.floats(), _maps, _not_numbers,
+        st.lists(_non_integral, min_size=1, max_size=3),
+    ),
+}
+_OUT_OF_RANGE = {
+    "topology": st.text(max_size=12).filter(lambda t: t not in TOPOLOGIES),
+    "n_modes": st.integers(max_value=0),
+    "theta": st.one_of(
+        st.floats(max_value=-1e-9), st.floats(min_value=math.pi / 2 + 1e-9), st.just(math.nan)
+    ),
+    "tau": st.one_of(st.floats(max_value=0.0), st.sampled_from((math.inf, math.nan))),
+    "omega": st.sampled_from((math.inf, -math.inf, math.nan)),
+}
+
+
+@st.composite
+def malformed_devices(draw):
+    """A valid device's JSON dict with one thing wrong, and the key at fault."""
+    d = draw(devices()).to_json_dict()
+    fault = draw(st.sampled_from(("type", "value", "shift", "missing", "unknown")))
+    if fault == "type":
+        key = draw(st.sampled_from(sorted(_WRONG_TYPES)))
+        d[key] = draw(_WRONG_TYPES[key])
+    elif fault == "value":
+        key = draw(st.sampled_from(sorted(_OUT_OF_RANGE)))
+        d[key] = draw(_OUT_OF_RANGE[key])
+        if key == "theta" and draw(st.booleans()):
+            # one guide of a per-guide theta
+            theta = [draw(angles)] * d["n_modes"]
+            theta[draw(st.integers(0, d["n_modes"] - 1))] = d[key]
+            d[key] = theta
+    elif fault == "shift":
+        # shift_c is read by the twisted circle only
+        d = draw(devices(topologies=("twisted_circle",))).to_json_dict()
+        key = "shift_c"
+        d[key] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=d["n_modes"])))
+    elif fault == "missing":
+        key = draw(st.sampled_from(("topology", "n_modes", "theta")))
+        del d[key]
+    else:
+        key = draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+                   .filter(lambda t: t not in _WRONG_TYPES))
+        d[key] = 0
+    return d, key
 
 
 def _guides(draw, n, distinct):
@@ -134,4 +204,27 @@ def test_non_commuting_custom_device_exits_2(data, tmp_path_factory):
     out = work / "out"
     argv = ["correlate", "--config", str(work / "dev.json"), "--inputs", "1,2", "--steps", "1..2"]
     assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=devices())
+def test_every_drawn_device_round_trips_through_json(cfg):
+    back = DeviceConfig.from_json(cfg.to_json())
+    assert back.to_json() == cfg.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=malformed_devices())
+def test_malformed_device_config_exits_2(case, tmp_path_factory):
+    d, key = case
+    work = tmp_path_factory.mktemp("malformed")
+    (work / "dev.json").write_text(json.dumps(d))
+    out = work / "out"
+    argv = ["correlate", "--config", str(work / "dev.json"), "--inputs", "1,2", "--steps", "1"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv + ["--out", str(out)]) == 2
+    assert err.getvalue().startswith("config error:")
+    assert "device config" in err.getvalue() and key in err.getvalue()
     assert not out.exists()
