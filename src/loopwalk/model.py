@@ -266,10 +266,14 @@ def _float_matrix(value, n: int) -> np.ndarray:
 
 
 # How each field is converted, n_modes first since a scalar theta is
-# broadcast over it; a None in an optional field is kept as None.
+# broadcast over it (over one guide when n_modes < 1, which is refused
+# later, so a huge negative count cannot overflow the broadcast); a None
+# in an optional field is kept as None.
 _CONVERTERS = {
     "n_modes": lambda v, n: as_int(v),
-    "theta": lambda v, n: _each(as_float, v) if isinstance(v, _LISTS) else (as_float(v),) * n,
+    "theta": lambda v, n: (
+        _each(as_float, v) if isinstance(v, _LISTS) else (as_float(v),) * max(n, 1)
+    ),
     "tau": lambda v, n: as_float(v),
     "omega": lambda v, n: as_float(v),
     "shift_c": lambda v, n: as_int(v),

@@ -18,7 +18,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopwalk.cli import main
@@ -216,6 +216,8 @@ def test_every_drawn_device_round_trips_through_json(cfg):
 
 @settings(max_examples=200, deadline=None)
 @given(case=malformed_devices())
+# a count too negative for a tuple's length, with a scalar theta to broadcast
+@example(case=({"topology": "cylinder", "n_modes": -2**63 - 1, "theta": 1.0}, "n_modes"))
 def test_malformed_device_config_exits_2(case, tmp_path_factory):
     d, key = case
     work = tmp_path_factory.mktemp("malformed")
