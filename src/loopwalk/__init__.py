@@ -6,7 +6,7 @@ spectral solvers for the coupling matrices, and a physical feasibility
 calculator for the optical loop.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .model import (
     ConfigError,

@@ -39,6 +39,7 @@ from .model import (
     DeviceConfig,
     NumericError,
     coupler_angle_ok,
+    mode_count_check,
     permutation_for,
     uniform_angle,
 )
@@ -182,6 +183,7 @@ def _device_from_args(args, theta) -> DeviceConfig:
             g_vector = _parse_float_list(args.g_vector)
         else:
             # nearest-neighbour ring
+            mode_count_check(n_modes)
             g = [0.0] * n_modes
             if n_modes >= 2:
                 g[1] = 1.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import ConfigError, as_float, as_int
 
@@ -30,6 +30,8 @@ _PARAM_KEYS = {
     "coupler_separation_m",
     "transits",
 }
+# may be None; a JSON null in one of these is the same as the key left out
+_OPTIONAL_PARAMS = {"group_index", "bandwidth_hz", "bandwidth_wavelength_m"}
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,10 @@ class PhysicalParams:
     attenuation coefficient in 1/cm, ``dispersion_ps_nm_km`` the usual
     fibre dispersion parameter (sign carries no weight here, only the
     magnitude spreads the pulse).
+
+    A PhysicalParams that exists is valid: construction converts every
+    field, refusing a string, bool or None (None is kept in the optional
+    fields) and a non-integer ``transits``, then checks every range.
     """
 
     wavelength_m: float
@@ -56,6 +62,15 @@ class PhysicalParams:
     bandwidth_wavelength_m: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name in _OPTIONAL_PARAMS:
+                continue
+            try:
+                value = as_int(value) if f.name == "transits" else as_float(value)
+            except (TypeError, OverflowError) as exc:
+                raise ConfigError(f"physical parameter {f.name}: {exc}") from None
+            object.__setattr__(self, f.name, value)
         positive = {
             "wavelength_m": self.wavelength_m,
             "background_index": self.background_index,
@@ -64,13 +79,13 @@ class PhysicalParams:
             "coupler_separation_m": self.coupler_separation_m,
         }
         for name, value in positive.items():
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if not (math.isfinite(self.bend_loss_per_cm) and self.bend_loss_per_cm >= 0):
             raise ConfigError(f"bend_loss_per_cm must be >= 0, got {self.bend_loss_per_cm!r}")
         if not math.isfinite(self.dispersion_ps_nm_km):
             raise ConfigError(f"dispersion_ps_nm_km must be finite, got {self.dispersion_ps_nm_km!r}")
-        if not (isinstance(self.transits, int) and self.transits >= 1):
+        if self.transits < 1:
             raise ConfigError(f"transits must be a positive integer, got {self.transits!r}")
         if self.group_index is not None and not (
             math.isfinite(self.group_index) and self.group_index > 0
@@ -111,19 +126,10 @@ class PhysicalParams:
         unknown = set(d) - _PARAM_KEYS
         if unknown:
             raise ConfigError(f"unknown physical parameter keys: {sorted(unknown)}")
-        required = _PARAM_KEYS - {"group_index", "bandwidth_hz", "bandwidth_wavelength_m"}
-        missing = required - set(d)
+        missing = _PARAM_KEYS - _OPTIONAL_PARAMS - set(d)
         if missing:
             raise ConfigError(f"missing physical parameter keys: {sorted(missing)}")
-        converted = {}
-        for key, value in d.items():
-            if value is None and key not in required:
-                continue  # an optional key given as null is absent
-            try:
-                converted[key] = as_int(value) if key == "transits" else as_float(value)
-            except (TypeError, OverflowError) as exc:
-                raise ConfigError(f"physical parameter {key}: {exc}") from None
-        return cls(**converted)
+        return cls(**d)
 
     @classmethod
     def from_json(cls, text: str) -> "PhysicalParams":

@@ -17,7 +17,6 @@ order.  The basis vector for m1 = m2 is (a^dag)^2 |0> / sqrt(2).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -31,6 +30,7 @@ from .model import (
     UnsupportedConfigError,
     _readonly,
     permutation_for,
+    physical_memory_bytes,
 )
 from .spectra import coupling_for
 
@@ -158,7 +158,7 @@ def oracle_memory_check(n_modes: int) -> None:
     """
     dim = n_modes * (2 * n_modes + 1)
     need = 2 * dim * dim * np.dtype(complex).itemsize
-    avail = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    avail = physical_memory_bytes()
     if need > avail:
         raise UnsupportedConfigError(
             f"the exact oracle at N = {n_modes} needs {need / 1e9:.1f} GB for its "

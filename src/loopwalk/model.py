@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -265,12 +266,44 @@ def _float_matrix(value, n: int) -> np.ndarray:
     return _readonly(g)
 
 
+def physical_memory_bytes() -> int:
+    """The host's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+# tracemalloc peak of eigensystem_for, in N x N complex matrices, at
+# N = 128..512: 4.5 for a chain, 5.0 for a custom coupling, 6.0 for a ring
+_EIGENSYSTEM_MATRICES = 6
+
+
+def mode_count_check(n_modes: int) -> None:
+    """Refuse a positive ``n_modes`` whose eigensystem exceeds physical memory.
+
+    Raises ConfigError before anything is sized by the mode count; a count
+    below one is left to the device's own check.
+    """
+    need = _EIGENSYSTEM_MATRICES * n_modes**2 * np.dtype(complex).itemsize
+    avail = physical_memory_bytes()
+    if n_modes > 0 and need > avail:
+        raise ConfigError(
+            f"N = {n_modes} needs {need / 1e9:.1f} GB for its eigensystem, "
+            f"more than the {avail / 1e9:.1f} GB of physical memory"
+        )
+
+
+def _mode_count(value) -> int:
+    n = as_int(value)
+    mode_count_check(n)
+    return n
+
+
 # How each field is converted, n_modes first since a scalar theta is
 # broadcast over it (over one guide when n_modes < 1, which is refused
-# later, so a huge negative count cannot overflow the broadcast); a None
-# in an optional field is kept as None.
+# later, so a huge negative count cannot overflow the broadcast, and a
+# count too large for memory is refused before it); a None in an
+# optional field is kept as None.
 _CONVERTERS = {
-    "n_modes": lambda v, n: as_int(v),
+    "n_modes": lambda v, n: _mode_count(v),
     "theta": lambda v, n: (
         _each(as_float, v) if isinstance(v, _LISTS) else (as_float(v),) * max(n, 1)
     ),

@@ -4,10 +4,9 @@ Two closed-form families cover the devices of interest: open chains with
 uniform nearest-neighbour coupling (tridiagonal Toeplitz, used by the
 cylinder and Moebius topologies) and translation-invariant rings
 (symmetric circulants, used by the twisted circle).  Both have textbook
-spectra which are emitted directly.  A cyclic Jacobi solver provides an
-independent numeric route for arbitrary real symmetric couplings; it is
-deliberately implemented here rather than delegated so that closed-form
-results can be cross-checked against code that shares nothing with them.
+spectra which are emitted directly.  Any other real symmetric coupling
+(a ``custom`` device) is diagonalised numerically by LAPACK, which is
+also the reference the closed forms are checked against in the tests.
 """
 
 from __future__ import annotations
@@ -109,71 +108,24 @@ def eigen_circulant(n_modes: int, g_vector) -> EigenSystem:
 # ---- numeric eigensolver -------------------------------------------------
 
 
-def eigen_numeric(
-    coupling, max_sweeps: int = 60, tol: float = 1e-14
-) -> EigenSystem:
-    """Diagonalise a real symmetric matrix with cyclic Jacobi rotations.
+def eigen_numeric(coupling) -> EigenSystem:
+    """Diagonalise a real symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Sweeps over all (p, q) pairs, annihilating each off-diagonal element
-    with a Givens rotation, until the largest off-diagonal magnitude drops
-    below ``tol`` relative to the matrix scale.  Eigenvalues are returned
-    in ascending order with matching (real, orthonormal) columns.
-
-    Raises NumericError, carrying the final off-diagonal residual, if the
-    sweep budget is exhausted.
+    Eigenvalues are returned in ascending order with matching (real,
+    orthonormal) columns.  Raises ConfigError for a matrix that is not
+    square or not exactly symmetric, and NumericError if LAPACK fails to
+    converge.
     """
     g = coupling.g if isinstance(coupling, CouplingMatrix) else np.asarray(coupling, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {g.shape}")
     if not np.array_equal(g, g.T):
         raise ConfigError("numeric eigensolver requires an exactly symmetric matrix")
-    n = g.shape[0]
-    a = np.array(g, dtype=float)
-    v = np.eye(n)
-    if n == 1:
-        return EigenSystem(np.array([a[0, 0]]), v.astype(complex))
-
-    scale = max(1.0, float(np.max(np.abs(a))))
-    off = _max_offdiag(a)
-    sweeps = 0
-    while off > tol * scale:
-        if sweeps >= max_sweeps:
-            raise NumericError(
-                f"Jacobi sweep budget ({max_sweeps}) exhausted, "
-                f"off-diagonal residual {off:.3e}",
-                residual=off,
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # rotation angle that zeroes a[p, q]
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.copysign(1.0, theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        sweeps += 1
-        off = _max_offdiag(a)
-
-    lam = np.diag(a).copy()
-    order = np.argsort(lam, kind="stable")
-    return EigenSystem(lam[order], v[:, order].astype(complex))
-
-
-def _max_offdiag(a: np.ndarray) -> float:
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.max(np.abs(a[mask])))
+    try:
+        lam, v = np.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolver did not converge: {exc}") from None
+    return EigenSystem(lam, v.astype(complex))
 
 
 # ---- device dispatch -----------------------------------------------------
@@ -197,7 +149,7 @@ def coupling_for(cfg: DeviceConfig) -> CouplingMatrix:
 
 
 def eigensystem_for(cfg: DeviceConfig) -> EigenSystem:
-    """Closed-form eigensystem where one exists, numeric Jacobi otherwise."""
+    """Closed-form eigensystem where one exists, numeric (LAPACK) otherwise."""
     if cfg.topology in ("cylinder", "moebius"):
         return eigen_tridiagonal(cfg.n_modes, omega=cfg.omega, g=1.0)
     if cfg.topology == "twisted_circle":

@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import loopwalk
 import loopwalk.fock_oracle as fock_oracle
 from loopwalk.cli import _parse_pairs, _parse_steps, _write_csv, _write_json, _write_pgm, main
 from loopwalk.model import ConfigError, CorrelationMatrix, EigenSystem
@@ -254,6 +258,47 @@ def test_dead_coupler_oracle_is_numeric_error(tmp_path):
     assert code == 3
 
 
+def test_oracle_same_guide_pair_is_config_error(tmp_path, capsys):
+    code, out = run(
+        tmp_path,
+        "correlate", "--n-modes", "4", "--inputs", "2,2", "--steps", "1", "--oracle",
+    )
+    assert code == 2
+    assert "oracle comparison needs distinct input guides" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_ADDRESS_SPACE_LIMIT = 1536 * 2**20
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_LIMIT, _ADDRESS_SPACE_LIMIT))
+
+
+@pytest.mark.parametrize(
+    "n_modes, device",
+    [
+        ("300000000", ["--topology", "moebius"]),
+        ("100000", ["--topology", "moebius"]),
+        # the CLI's default nearest-neighbour ring has one entry per guide
+        ("300000000", ["--topology", "twisted_circle", "--c", "1"]),
+    ],
+)
+def test_mode_count_too_large_for_memory_is_config_error(n_modes, device):
+    # a separate process under a 1.5-GB address-space cap, so that an
+    # allocation sized by the mode count fails there and not in the test run
+    src = os.path.dirname(os.path.dirname(loopwalk.__file__))
+    argv = [sys.executable, "-m", "loopwalk.cli", "spectra", "--n-modes", n_modes, *device]
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert f"N = {n_modes} needs" in proc.stderr and "GB of physical memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---- other subcommands ------------------------------------------------------------
 
 
@@ -275,6 +320,43 @@ def test_spectra_json_round_trips(tmp_path, capsys):
     assert main(["spectra", "--n-modes", "5", "--out", str(out)]) == 0
     es = EigenSystem.from_dict(json.loads(out.read_text()))
     assert es.n == 5
+
+
+def test_spectra_g_vector_ring(capsys):
+    argv = ["spectra", "--topology", "twisted_circle", "--n-modes", "4", "--c", "1"]
+    assert main(argv + ["--g-vector", "0,1,0,1"]) == 0
+    lams = [float(line.split("=")[1]) for line in capsys.readouterr().out.splitlines()]
+    assert np.allclose(lams, [2.0, 0.0, -2.0, 0.0], atol=1e-14)
+
+    assert main(argv + ["--g-vector", "0,1,abc"]) == 2
+    assert "config error: bad number list '0,1,abc'" in capsys.readouterr().err
+    assert main(argv + ["--g-vector", "0,1,0,2"]) == 2
+    assert "circulant symmetry violated: g_4 != g_2" in capsys.readouterr().err
+
+
+def _custom_config(tmp_path):
+    cfile = tmp_path / "custom.json"
+    cfile.write_text(json.dumps({
+        "topology": "custom", "n_modes": 3, "theta": 0.5,
+        "custom_G": [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+        "custom_perm": [3, 2, 1],
+    }))
+    return cfile
+
+
+def test_spectra_custom_device(tmp_path, capsys):
+    assert main(["spectra", "--config", str(_custom_config(tmp_path))]) == 0
+    lams = [float(line.split("=")[1]) for line in capsys.readouterr().out.splitlines()]
+    assert np.allclose(lams, [-np.sqrt(2.0), 0.0, np.sqrt(2.0)], atol=1e-14)
+
+
+def test_spectra_solver_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    assert main(["spectra", "--config", str(_custom_config(tmp_path))]) == 3
+    assert "numeric error: symmetric eigensolver did not converge" in capsys.readouterr().err
 
 
 def test_modes_lists_uniform_mode(capsys):
@@ -328,6 +410,21 @@ def test_feasibility_report(tmp_path, capsys):
     assert main(["feasibility", str(pfile), "--threshold", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert not report["discreteness"]["passed"]
+
+
+def test_feasibility_transits_override_to_file(tmp_path, capsys):
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(FEASIBILITY_PARAMS))
+    out = tmp_path / "report.json"
+    assert main(["feasibility", str(pfile), "--transits", "200", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    report = json.loads(out.read_text())
+    assert report["budget"]["transits"] == 200
+    assert abs(report["budget"]["path_length_m"] - 200 * 2 * np.pi * 0.2) < 1e-9
+
+    assert main(["feasibility", str(pfile), "--transits", "0", "--out", str(tmp_path / "x")]) == 2
+    assert "transits must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_feasibility_missing_file(tmp_path):
@@ -401,6 +498,35 @@ def test_config_file_per_guide_theta_is_config_error(tmp_path):
     cfile.write_text('{"topology": "cylinder", "n_modes": 3, "theta": [0.1, 0.2, 0.3]}')
     code, out = run(tmp_path, "correlate", "--config", str(cfile), "--inputs", "1,3")
     assert code == 2
+    assert not out.exists()
+
+
+_RING = {"topology": "twisted_circle", "n_modes": 4, "theta": 0.5, "shift_c": 1}
+_CUSTOM = {"topology": "custom", "n_modes": 3, "theta": 0.5}
+
+
+@pytest.mark.parametrize(
+    "device, violation",
+    [
+        ({"topology": "cylinder", "n_modes": 3, "theta": [0.1, 0.1]}, "theta has 2 entries for 3 guides"),
+        (_RING, "twisted_circle requires g_vector"),
+        ({**_RING, "g_vector": [0.0, 1.0, 1.0]}, "g_vector has 3 entries for 4 modes"),
+        ({**_RING, "g_vector": [0.0, 1.0, float("nan"), 1.0]}, "g_vector entries must be finite"),
+        ({**_CUSTOM, "custom_perm": [1, 2, 3]}, "custom topology requires custom_G"),
+        ({**_CUSTOM, "custom_G": np.eye(3).ravel().tolist()}, "custom topology requires custom_perm"),
+        (
+            {**_CUSTOM, "custom_G": np.eye(3).ravel().tolist(), "custom_perm": [2, 1]},
+            "custom_perm has 2 entries for 3 guides",
+        ),
+    ],
+)
+def test_config_file_violation_is_named(tmp_path, capsys, device, violation):
+    cfile = tmp_path / "dev.json"
+    cfile.write_text(json.dumps(device))
+    code, out = run(tmp_path, "correlate", "--config", str(cfile), "--inputs", "1,2", "--steps", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid device config:") and violation in err
     assert not out.exists()
 
 

@@ -187,6 +187,20 @@ def test_json_values_of_the_wrong_type_are_refused(key, value, message):
         PhysicalParams.from_json(json.dumps(d))
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("bend_loss_per_cm", "abc", "expected a number, got 'abc'"),
+        ("dispersion_ps_nm_km", None, "expected a number, got None"),
+        ("group_index", "x", "expected a number, got 'x'"),
+        ("wavelength_m", True, "expected a number, got True"),
+    ],
+)
+def test_constructor_refuses_values_of_the_wrong_type(key, value, message):
+    with pytest.raises(ConfigError, match=f"physical parameter {key}: {message}"):
+        dataclasses.replace(PhysicalParams.glass_800nm(), **{key: value})
+
+
 def test_json_rejects_unknown_and_missing_keys():
     with pytest.raises(ConfigError, match="unknown"):
         PhysicalParams.from_json('{"radius": 1}')
