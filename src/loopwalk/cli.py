@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +58,7 @@ class RunManifest:
     """Everything a correlate sweep depends on, for reproducibility."""
 
     device: dict
-    steps: tuple[int, ...]
+    steps: Sequence[int]
     delays: tuple[int, ...]
     input_pairs: tuple[tuple[int, int], ...]
     thetas: tuple[float, ...]
@@ -101,7 +102,9 @@ def _unique(items) -> tuple:
     return tuple(dict.fromkeys(items))
 
 
-def _parse_steps(text: str) -> tuple[int, ...]:
+def _parse_steps(text: str) -> Sequence[int]:
+    """A step list, or a lo..hi range kept as a range: check_sweep sizes it
+    against memory before any step is built."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -111,7 +114,9 @@ def _parse_steps(text: str) -> tuple[int, ...]:
             raise ConfigError(f"bad step range {text!r}")
         if hi_i < lo_i:
             raise ConfigError(f"empty step range {text!r}")
-        return tuple(range(lo_i, hi_i + 1))
+        if hi_i - lo_i >= sys.maxsize:
+            raise ConfigError(f"step range {text!r} has more steps than can be indexed")
+        return range(lo_i, hi_i + 1)
     try:
         return _unique(int(s) for s in text.split(","))
     except ValueError:
@@ -145,6 +150,18 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad integer list {text!r}")
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; one that cannot be read as UTF-8 text,
+    a directory or a missing file, say, is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path} as UTF-8 text: {exc}") from None
+
+
 # ---- device assembly ---------------------------------------------------------
 
 _DEVICE_FLAGS = ("topology", "n_modes", "theta", "tau", "omega", "shift_c", "g_vector")
@@ -171,8 +188,7 @@ def _device_from_args(args, theta) -> DeviceConfig:
         for flag in _DEVICE_FLAGS:
             if getattr(args, flag) is not None:
                 raise ConfigError(f"--config cannot be combined with --{flag.replace('_', '-')}")
-        with open(args.config) as fh:
-            return DeviceConfig.from_json(fh.read())
+        return DeviceConfig.from_json(_read_input(args.config))
     topology = args.topology or "cylinder"
     n_modes = args.n_modes if args.n_modes is not None else 21
     tau = args.tau if args.tau is not None else 1.0
@@ -319,7 +335,7 @@ def cmd_correlate(args) -> int:
     oracle_entries = []
     max_step = max(steps)
     for ti, theta in enumerate(thetas):
-        # the oracle runs of one theta share its lifted step matrices
+        # the oracle runs of one theta share its step matrices and lifted Couple
         operators = StepOperators(replace(base_cfg, theta=theta)) if args.oracle else None
         for nd in delays:
             for j, k in pairs:
@@ -462,8 +478,7 @@ def cmd_theta_opt(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    with open(args.params) as fh:
-        params = PhysicalParams.from_json(fh.read())
+    params = PhysicalParams.from_json(_read_input(args.params))
     if args.transits is not None:
         params = replace(params, transits=args.transits)
     report = {

@@ -46,6 +46,7 @@ from .model import (
     Permutation,
     UnsupportedConfigError,
     permutation_for,
+    physical_memory_bytes,
     uniform_angle,
 )
 from .propagate import compose, order, permute_modes
@@ -60,13 +61,30 @@ def survival_prefactor(theta, n: int) -> float:
     return math.cos(th) ** (4 * (n - 1)) * math.sin(th) ** 4
 
 
+# tracemalloc peak of correlation_sweep per step, at N = 2..64: six complex
+# N-vectors (the phases, the two scaled eigenvector rows, their product)
+# plus ~104 B of Python objects
+_STEP_VECTORS = 6
+_STEP_OVERHEAD_BYTES = 128
+
+
 def check_sweep(n_modes: int, steps, pairs, delays, kinds, *, rescaled: bool):
     """Refuse sweep axes that :func:`correlation_sweep` cannot evaluate.
 
     Every combination of the axes must be valid: steps n >= 0, with the
     n = 0 snapshot only rescaled; delays n_d >= 0, with classical kinds
-    only at n_d = 0; both guides of every pair in 1..n_modes.
+    only at n_d = 0; both guides of every pair in 1..n_modes.  ``steps``
+    may be a range; its per-step arrays must fit in physical memory, which
+    is checked before any step is read.
     """
+    per_step = _STEP_VECTORS * n_modes * np.dtype(complex).itemsize + _STEP_OVERHEAD_BYTES
+    need = len(steps) * per_step
+    avail = physical_memory_bytes()
+    if need > avail:
+        raise ConfigError(
+            f"{len(steps)} steps at N = {n_modes} need {need / 1e9:.1f} GB for the "
+            f"sweep's per-step arrays, more than the {avail / 1e9:.1f} GB of physical memory"
+        )
     for kind in kinds:
         if kind not in ("quantum", "classical"):
             raise ConfigError(f"kind must be quantum or classical, got {kind!r}")

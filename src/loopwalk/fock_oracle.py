@@ -12,7 +12,10 @@ never from permanents of transfer-matrix blocks.
 
 States with two photons live in the symmetric subspace over 2N modes,
 dimension 2N(2N+1)/2, indexed by unordered mode pairs in lexicographic
-order.  The basis vector for m1 = m2 is (a^dag)^2 |0> / sqrt(2).
+order.  The basis vector for m1 = m2 is (a^dag)^2 |0> / sqrt(2).  Free
+evolution acts on such a state through its 2N x 2N symmetric amplitude
+matrix (:func:`act_on_pairs`); the coupler bank through its lifted
+dim x dim matrix (:func:`lift_to_two_photon`).
 """
 
 from __future__ import annotations
@@ -149,20 +152,36 @@ def lift_to_two_photon(u: np.ndarray) -> np.ndarray:
     return lifted
 
 
-def oracle_memory_check(n_modes: int) -> None:
-    """Refuse an oracle whose two lifted step matrices exceed physical memory.
+def act_on_pairs(u: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Two-photon action of a one-photon unitary on a pair amplitude vector.
 
-    Evolve and Couple are each lifted to a dim x dim complex matrix with
-    dim = N(2N+1); raises UnsupportedConfigError before anything of that
-    size is allocated.
+    The pairs are scattered into the symmetric amplitude matrix S over the
+    2N modes (S_ab = c_ab, S_mm = sqrt(2) c_mm), which a one-photon u maps
+    to u S u^T, and gathered back.  Equals ``lift_to_two_photon(u) @ vec``
+    without forming the dim x dim lift.
+    """
+    pb = pair_basis(u.shape[0])
+    amps = vec / pb.weight
+    s = np.empty((pb.n_total, pb.n_total), dtype=complex)
+    s[pb.i1, pb.i2] = amps
+    s[pb.i2, pb.i1] = amps
+    return (u @ s @ u.T)[pb.i1, pb.i2] * pb.weight
+
+
+def oracle_memory_check(n_modes: int) -> None:
+    """Refuse an oracle whose lifted Couple matrix exceeds physical memory.
+
+    Couple is lifted to a dim x dim complex matrix with dim = N(2N+1);
+    raises UnsupportedConfigError before anything of that size is
+    allocated.
     """
     dim = n_modes * (2 * n_modes + 1)
-    need = 2 * dim * dim * np.dtype(complex).itemsize
+    need = dim * dim * np.dtype(complex).itemsize
     avail = physical_memory_bytes()
     if need > avail:
         raise UnsupportedConfigError(
             f"the exact oracle at N = {n_modes} needs {need / 1e9:.1f} GB for its "
-            f"lifted step matrices, more than the {avail / 1e9:.1f} GB of physical memory"
+            f"lifted coupler matrix, more than the {avail / 1e9:.1f} GB of physical memory"
         )
 
 
@@ -332,12 +351,13 @@ class StepOperators:
     angles, so runs of several schedules on the same ``cfg`` may share one
     holder.  Permute only relabels modes: ``relabel[k]`` is the index
     gather that applies it to a k-photon amplitude vector, exactly, built at
-    construction.  Evolve and Couple are matrices, built on first use and
-    then kept.  A lifted two-photon matrix is dim x dim complex with
-    dim = N(2N+1), so a holder keeps at most two of them alive.  Its peak
-    memory is those two plus the one ~4-MiB row block a lift fills at a
-    time: ~150 MB peak RSS for the N = 30 benchmark sweep, ~715 MB for the
-    same sweep at N = 48.  A device whose two matrices would not fit in
+    construction.  Evolve and Couple are one-photon matrices, built on first
+    use and then kept.  Evolve reaches a two-photon state through
+    :func:`act_on_pairs` on the 2N x 2N amplitude matrix, so Couple is the
+    only step lifted: one dim x dim complex matrix with dim = N(2N+1),
+    53.6 MB at N = 30.  Its peak memory is that matrix plus the one ~4-MiB
+    row block a lift fills at a time: ~98 MB peak RSS for the N = 30
+    benchmark sweep.  A device whose lifted Couple would not fit in
     physical memory is refused with UnsupportedConfigError by
     :func:`oracle_memory_check` at construction.
     """
@@ -473,6 +493,8 @@ def run_pipeline(
         elif isinstance(step, (Evolve, Couple)):
             if nphot == 1:
                 vec = operators.one_photon(step) @ vec
+            elif nphot == 2 and isinstance(step, Evolve):
+                vec = act_on_pairs(operators.one_photon(step), vec)
             elif nphot == 2:
                 vec = operators.two_photon(step) @ vec
         elif isinstance(step, InjectB):

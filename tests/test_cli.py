@@ -28,13 +28,15 @@ def run(tmp_path, *argv):
 
 
 def test_parse_steps_range_and_list():
-    assert _parse_steps("0..3") == (0, 1, 2, 3)
+    assert _parse_steps("0..3") == range(0, 4)
     assert _parse_steps("1,2,4") == (1, 2, 4)
     assert _parse_steps("2,2,1") == (2, 1)
     with pytest.raises(ConfigError):
         _parse_steps("3..1")
     with pytest.raises(ConfigError):
         _parse_steps("a..b")
+    with pytest.raises(ConfigError, match="more steps than can be indexed"):
+        _parse_steps(f"0..{sys.maxsize}")
 
 
 def test_parse_pairs():
@@ -244,7 +246,7 @@ def test_oracle_too_large_for_memory_is_config_error(tmp_path, capsys):
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "needs 128128.0 GB" in err and "GB of physical memory" in err
+    assert "needs 64064.0 GB" in err and "GB of physical memory" in err
     assert not out.exists()
 
 
@@ -275,6 +277,16 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_LIMIT, _ADDRESS_SPACE_LIMIT))
 
 
+def _run_capped(*argv):
+    """The CLI in a separate process under a 1.5-GB address-space cap, so
+    that an allocation sized by its input fails there and not in the test run."""
+    src = os.path.dirname(os.path.dirname(loopwalk.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "loopwalk.cli", *argv], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_address_space,
+    )
+
+
 @pytest.mark.parametrize(
     "n_modes, device",
     [
@@ -285,18 +297,23 @@ def _limit_address_space():
     ],
 )
 def test_mode_count_too_large_for_memory_is_config_error(n_modes, device):
-    # a separate process under a 1.5-GB address-space cap, so that an
-    # allocation sized by the mode count fails there and not in the test run
-    src = os.path.dirname(os.path.dirname(loopwalk.__file__))
-    argv = [sys.executable, "-m", "loopwalk.cli", "spectra", "--n-modes", n_modes, *device]
-    proc = subprocess.run(
-        argv, capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_address_space,
-    )
+    proc = _run_capped("spectra", "--n-modes", n_modes, *device)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:")
     assert f"N = {n_modes} needs" in proc.stderr and "GB of physical memory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_step_range_too_large_for_memory_is_config_error(tmp_path):
+    # a range built before the check would die under the cap with a MemoryError
+    out = tmp_path / "out"
+    proc = _run_capped(
+        "correlate", "--n-modes", "5", "--steps", "0..100000000000", "--out", str(out)
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: 100000000001 steps at N = 5 need")
+    assert "GB of physical memory" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 # ---- other subcommands ------------------------------------------------------------
@@ -431,6 +448,23 @@ def test_feasibility_missing_file(tmp_path):
     assert main(["feasibility", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["feasibility", "{dir}"], "Is a directory"),
+        (["spectra", "--config", "{dir}"], "Is a directory"),
+        (["spectra", "--config", "{bom}"], "can't decode byte 0xff"),
+    ],
+)
+def test_unreadable_input_file_is_config_error(tmp_path, capsys, argv, reason):
+    bom = tmp_path / "dev.json"
+    bom.write_bytes(b"\xff\xfe")
+    argv = [a.format(dir=tmp_path, bom=bom) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read") and reason in err
+
+
 def test_env_var_sets_output_dir(tmp_path, monkeypatch, capsys):
     target = tmp_path / "envout"
     monkeypatch.setenv("QWALK_OUT", str(target))
@@ -545,8 +579,9 @@ def test_oracle_lifts_step_matrices_once_per_theta(tmp_path, monkeypatch):
         "--inputs", "1,4;2,5", "--steps", "1..2", "--delay", "0,1", "--oracle",
     )
     assert code == 0
-    # 2 thetas x Evolve and Couple; Permute is a gather, never lifted
-    assert len(calls) == 4
+    # 2 thetas x Couple; Permute is a gather and Evolve acts on the
+    # amplitude matrix, so neither is lifted
+    assert len(calls) == 2
     report = json.loads((out / "oracle_diff.json").read_text())
     assert len(report["entries"]) == 2 * 2 * 2 * 2
 

@@ -15,6 +15,7 @@ from loopwalk.fock_oracle import (
     StepOperators,
     TwoPhotonState,
     _expm,
+    act_on_pairs,
     delayed_run,
     lift_to_two_photon,
     pair_basis,
@@ -286,7 +287,7 @@ def test_shared_operators_match_fresh_runs():
             assert np.array_equal(a.coincidences, b.coincidences)
             assert a.post_selection_prob == b.post_selection_prob
         assert np.array_equal(shared.final_state.amps, fresh.final_state.amps)
-    assert set(ops.lifted) == {Evolve(), Couple()}
+    assert set(ops.lifted) == {Couple()}
 
 
 @st.composite
@@ -325,9 +326,35 @@ def test_two_photon_relabel_is_the_lifted_permute_matrix(case):
     assert np.all(np.abs(got[double] - want[double]) <= 3e-16 * np.abs(got[double]))
 
 
-def test_sweep_holds_two_lifted_matrices():
+@st.composite
+def evolved_amplitudes(draw):
+    """A custom device, N <= 8, with random couplings and transit time, and
+    a random amplitude vector over its mode pairs, doubly occupied included."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    a = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
+    cfg = DeviceConfig(
+        topology="custom", n_modes=n, theta=0.5, tau=draw(st.floats(0.1, 3.0)),
+        custom_g=a + a.T, custom_perm=list(range(1, n + 1)),
+    )
+    size = pair_basis(2 * n).dim
+    parts = draw(hnp.arrays(np.float64, (2, size), elements=st.floats(-1.0, 1.0)))
+    return cfg, parts[0] + 1j * parts[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=evolved_amplitudes())
+def test_amplitude_matrix_evolve_is_the_lifted_evolve(case):
+    cfg, vec = case
+    u = single_particle_step_matrix(Evolve(), cfg)
+    got = act_on_pairs(u, vec)
+    want = lift_to_two_photon(u) @ vec
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_sweep_holds_one_lifted_matrix():
     # at N = 30 a lift's ~4-MiB row block is small against its 53.6-MB
-    # result, so the peak is two lifted matrices plus the block's temporaries
+    # result, so the peak is the lifted Couple plus the block's temporaries;
+    # a second lifted matrix would need twice that
     cfg = _twisted(n=30)
     delayed_run(cfg, 1, 7, 2, 2)
     lifted_bytes = pair_basis(60).dim ** 2 * np.dtype(complex).itemsize
@@ -337,7 +364,7 @@ def test_sweep_holds_two_lifted_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * lifted_bytes
+    assert peak <= 1.3 * lifted_bytes
 
 
 def test_operators_of_another_device_refused():
@@ -347,6 +374,6 @@ def test_operators_of_another_device_refused():
 
 
 def test_operators_beyond_physical_memory_refused():
-    # two 2001000 x 2001000 complex matrices: ~128 TB
+    # one 2001000 x 2001000 complex matrix: ~64 TB
     with pytest.raises(UnsupportedConfigError, match="GB of physical memory"):
         StepOperators(_cfg(1000))
