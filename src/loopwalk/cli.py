@@ -9,6 +9,10 @@ physical loop design.
 Output files are deterministic byte for byte for a given manifest and
 tool version; wall-clock timestamps go only to ``run.log``.  Exit codes:
 0 success, 2 configuration error, 3 numeric failure.
+
+Importing this module and parsing a command line use the standard
+library only: ``--version``, ``--help`` and a usage error never load
+numpy.  Each ``cmd_*`` imports the physics modules it uses when it runs.
 """
 
 from __future__ import annotations
@@ -21,30 +25,16 @@ import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .correlations import (
-    check_sweep,
-    correlation_sweep,
-    invariant_modes,
-    optimal_theta,
-    require_commuting_loop,
-    survival_prefactor,
-)
-from .feasibility import PhysicalParams, discreteness_check, loop_budget
-from .fock_oracle import StepOperators, delayed_run, oracle_memory_check
-from .model import (
-    ConfigError,
-    DeviceConfig,
-    NumericError,
-    coupler_angle_ok,
-    mode_count_check,
-    permutation_for,
-    uniform_angle,
-)
-from .spectra import eigensystem_for
+from .errors import ConfigError, NumericError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .model import DeviceConfig
 
 SCHEMA_VERSION = 1
 _FORMATS = ("csv", "json", "pgm")
@@ -184,6 +174,8 @@ def _add_device_flags(sub: argparse.ArgumentParser):
 
 
 def _device_from_args(args, theta) -> DeviceConfig:
+    from .model import DeviceConfig, mode_count_check
+
     if args.config:
         for flag in _DEVICE_FLAGS:
             if getattr(args, flag) is not None:
@@ -217,6 +209,8 @@ def _device_from_args(args, theta) -> DeviceConfig:
 
 
 def _thetas_from_args(args) -> tuple[float, ...]:
+    from .model import coupler_angle_ok
+
     if getattr(args, "theta", None) is None:
         return (math.pi / 4,)
     thetas = _unique(_parse_float_list(args.theta))
@@ -248,27 +242,32 @@ def _write_csv(path: str, values: np.ndarray):
         fh.write("".join(lines))
 
 
+@cache
 def _grey_table(sep: str) -> np.ndarray:
-    """Entry v holds the ASCII digits of v then ``sep``, NUL-padded to 4 bytes."""
+    """Entry v holds the ASCII digits of v then ``sep``, NUL-padded to 4 bytes
+    (read-only, built on first use)."""
+    import numpy as np
+
     cells = b"".join(f"{v}{sep}".encode("ascii").ljust(4, b"\0") for v in range(256))
     return np.frombuffer(cells, dtype=np.uint32)
 
 
-_GREY_SP = _grey_table(" ")
-_GREY_NL = _grey_table("\n")
 _PGM_PER_LINE = 15  # 15 values of at most 4 chars keep lines under the 70-char limit
 
 
 def _write_pgm(path: str, values: np.ndarray):
+    import numpy as np
+
+    grey_sp, grey_nl = _grey_table(" "), _grey_table("\n")
     vmax = float(values.max())
     if vmax > 0.0:
         grey = np.rint(values / vmax * 255.0).astype(int)
     else:
         grey = np.zeros_like(values, dtype=int)
     flat = grey.ravel()
-    body = _GREY_SP[flat]
-    body[_PGM_PER_LINE - 1 :: _PGM_PER_LINE] = _GREY_NL[flat[_PGM_PER_LINE - 1 :: _PGM_PER_LINE]]
-    body[-1] = _GREY_NL[flat[-1]]
+    body = grey_sp[flat]
+    body[_PGM_PER_LINE - 1 :: _PGM_PER_LINE] = grey_nl[flat[_PGM_PER_LINE - 1 :: _PGM_PER_LINE]]
+    body[-1] = grey_nl[flat[-1]]
     header = f"P2\n{values.shape[1]} {values.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header + body.tobytes().translate(None, b"\0"))
@@ -289,6 +288,11 @@ def _cell_name(kind: str, rescaled: bool, ti: int, nd: int, n: int, j: int, k: i
 
 
 def cmd_correlate(args) -> int:
+    from .correlations import check_sweep, correlation_sweep, require_commuting_loop
+    from .fock_oracle import StepOperators, delayed_run, oracle_memory_check
+    from .model import uniform_angle
+    from .spectra import eigensystem_for
+
     thetas = _thetas_from_args(args)
     base_cfg = _device_from_args(args, thetas[0])
     if args.config:
@@ -329,7 +333,10 @@ def cmd_correlate(args) -> int:
         oracle=bool(args.oracle),
     )
     # created only once every input has been checked, so a refused run leaves nothing
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
 
     written = []
     oracle_entries = []
@@ -407,6 +414,8 @@ def _write_cell(cfg, theta, ti, matrix, formats, out_dir) -> list:
 def _oracle_cell(cfg, theta, ti, matrix, run, formats, out_dir) -> tuple:
     """Compare one quantum cell with transit ``matrix.step`` of the exact
     simulator's ``run``; returns the files written and the report entry."""
+    from .correlations import survival_prefactor
+
     n, nd, (j, k) = matrix.step, matrix.delay, matrix.inputs
     physical = run.transit_records[n - 1].coincidences
     oracle_vals = physical / survival_prefactor(theta, n) if matrix.rescaled else physical
@@ -431,7 +440,7 @@ def _oracle_cell(cfg, theta, ti, matrix, run, formats, out_dir) -> tuple:
         _write_json(os.path.join(out_dir, f"oracle_{name}.json"), payload)
         written.append(f"oracle_{name}.json")
 
-    diff = float(np.max(np.abs(matrix.values - oracle_vals)))
+    diff = float(abs(matrix.values - oracle_vals).max())
     return written, {"cell": name, "max_abs_diff": diff, "comparison": "direct"}
 
 
@@ -439,6 +448,8 @@ def _oracle_cell(cfg, theta, ti, matrix, run, formats, out_dir) -> tuple:
 
 
 def cmd_spectra(args) -> int:
+    from .spectra import eigensystem_for
+
     cfg = _device_from_args(args, _thetas_from_args(args)[0])
     es = eigensystem_for(cfg)
     for idx, lam in enumerate(es.eigenvalues, start=1):
@@ -457,6 +468,10 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_modes(args) -> int:
+    from .correlations import invariant_modes
+    from .model import permutation_for
+    from .spectra import eigensystem_for
+
     cfg = _device_from_args(args, _thetas_from_args(args)[0])
     es = eigensystem_for(cfg)
     p = permutation_for(cfg)
@@ -473,11 +488,15 @@ def cmd_modes(args) -> int:
 
 
 def cmd_theta_opt(args) -> int:
+    from .correlations import optimal_theta
+
     print(f"{optimal_theta(args.n):.12g}")
     return 0
 
 
 def cmd_feasibility(args) -> int:
+    from .feasibility import PhysicalParams, discreteness_check, loop_budget
+
     params = PhysicalParams.from_json(_read_input(args.params))
     if args.transits is not None:
         params = replace(params, transits=args.transits)

@@ -24,26 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigError, NumericError, UnsupportedConfigError  # noqa: F401 (re-exported)
+
 TOPOLOGIES = ("cylinder", "moebius", "twisted_circle", "custom")
-
-
-class ConfigError(ValueError):
-    """A device or run configuration violates the contract."""
-
-
-class UnsupportedConfigError(ConfigError):
-    """A valid device that the requested code path does not support."""
-
-
-class NumericError(RuntimeError):
-    """An iterative numeric routine failed to converge.
-
-    The final residual, when known, is carried in ``residual``.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -383,6 +366,8 @@ class DeviceConfig:
                 v.append(f"g_vector has {len(self.g_vector)} entries for {n} modes")
             elif not all(math.isfinite(g) for g in self.g_vector):
                 v.append("g_vector entries must be finite")
+            elif not math.isfinite(sum(abs(g) for g in self.g_vector)):
+                v.append("g_vector spectral bound sum |g_j| is not finite")
             else:
                 for j in _circulant_symmetry_violations(self.g_vector):
                     v.append(
@@ -395,9 +380,14 @@ class DeviceConfig:
                 v.append("custom topology requires custom_G")
             else:
                 try:
-                    CouplingMatrix(n, self.custom_g)
+                    g = CouplingMatrix(n, self.custom_g).g
                 except ConfigError as exc:
                     v.append(f"custom_G: {exc}")
+                else:
+                    with np.errstate(over="ignore"):
+                        row_sums = np.abs(g).sum(axis=1)
+                    if not np.all(np.isfinite(row_sums)):
+                        v.append("custom_G spectral bound max_r sum_s |G_rs| is not finite")
             if self.custom_perm is None:
                 v.append("custom topology requires custom_perm")
             elif len(self.custom_perm) != n:

@@ -472,6 +472,17 @@ def test_env_var_sets_output_dir(tmp_path, monkeypatch, capsys):
     assert (target / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("out_name", ["taken", "taken/sub"])
+def test_unusable_out_dir_is_config_error(tmp_path, capsys, out_name):
+    (tmp_path / "taken").write_text("kept")
+    code = main(["correlate", "--n-modes", "4", "--inputs", "1,2", "--steps", "1",
+                 "--out", str(tmp_path / out_name)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: cannot create output directory")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert (tmp_path / "taken").read_text() == "kept"
+
+
 def test_config_file_device(tmp_path):
     cfg = {
         "topology": "twisted_circle",

@@ -218,6 +218,11 @@ def test_every_drawn_device_round_trips_through_json(cfg):
 @given(case=malformed_devices())
 # a count too negative for a tuple's length, with a scalar theta to broadcast
 @example(case=({"topology": "cylinder", "n_modes": -2**63 - 1, "theta": 1.0}, "n_modes"))
+# couplings whose spectral bound overflows: the circulant eigenvalue sums would be inf
+@example(case=({"topology": "twisted_circle", "n_modes": 5, "theta": 1.0, "shift_c": 2,
+                "g_vector": [0, 1e308, 0, 0, 1e308]}, "g_vector"))
+@example(case=({"topology": "custom", "n_modes": 2, "theta": 1.0,
+                "custom_G": [[1e308, 1e308], [1e308, 1e308]], "custom_perm": [1, 2]}, "custom_G"))
 def test_malformed_device_config_exits_2(case, tmp_path_factory):
     d, key = case
     work = tmp_path_factory.mktemp("malformed")
