@@ -10,77 +10,25 @@ Output files are deterministic byte for byte for a given manifest and
 tool version; wall-clock timestamps go only to ``run.log``.  Exit codes:
 0 success, 2 configuration error, 3 numeric failure.
 
-Importing this module and parsing a command line use the standard
-library only: ``--version``, ``--help`` and a usage error never load
-numpy.  Each ``cmd_*`` imports the physics modules it uses when it runs.
+Importing this module and parsing a command line load nothing beyond
+argparse, math, os, sys, functools and loopwalk's stdlib-only ``errors``:
+``--version``, ``--help`` and a usage error load neither numpy nor json,
+datetime or dataclasses.  Each ``cmd_*`` imports what it uses when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
-import json
 import math
 import os
 import sys
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from functools import cache
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ConfigError, NumericError
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .model import DeviceConfig
-
 SCHEMA_VERSION = 1
 _FORMATS = ("csv", "json", "pgm")
-
-
-# ---- manifest -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything a correlate sweep depends on, for reproducibility."""
-
-    device: dict
-    steps: Sequence[int]
-    delays: tuple[int, ...]
-    input_pairs: tuple[tuple[int, int], ...]
-    thetas: tuple[float, ...]
-    kinds: tuple[str, ...]
-    rescaled: bool
-    formats: tuple[str, ...]
-    out_dir: str
-    seed: int  # recorded only: nothing in a run is random
-    tool_version: str
-    oracle: bool
-
-    def __post_init__(self):
-        bad = set(self.formats) - set(_FORMATS)
-        if bad:
-            raise ConfigError(f"unknown output formats {sorted(bad)}; choose from {_FORMATS}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "record": "run_manifest",
-            "device": self.device,
-            "steps": list(self.steps),
-            "delays": list(self.delays),
-            "input_pairs": [list(p) for p in self.input_pairs],
-            "thetas": list(self.thetas),
-            "kinds": list(self.kinds),
-            "rescaled": self.rescaled,
-            "formats": list(self.formats),
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "oracle": self.oracle,
-        }
 
 
 # ---- small parsers ----------------------------------------------------------
@@ -230,6 +178,8 @@ def _out_dir(args) -> str:
 
 
 def _write_json(path: str, payload: dict):
+    import json
+
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -274,6 +224,8 @@ def _write_pgm(path: str, values: np.ndarray):
 
 
 def _log_line(out_dir: str, message: str):
+    import datetime
+
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(os.path.join(out_dir, "run.log"), "a") as fh:
         fh.write(f"{stamp} {message}\n")
@@ -288,6 +240,8 @@ def _cell_name(kind: str, rescaled: bool, ti: int, nd: int, n: int, j: int, k: i
 
 
 def cmd_correlate(args) -> int:
+    from dataclasses import replace
+
     from .correlations import check_sweep, correlation_sweep, require_commuting_loop
     from .fock_oracle import StepOperators, delayed_run, oracle_memory_check
     from .model import uniform_angle
@@ -306,10 +260,12 @@ def cmd_correlate(args) -> int:
     kinds = ("quantum", "classical") if args.kind == "both" else (args.kind,)
 
     check_sweep(base_cfg.n_modes, steps, pairs, delays, kinds, rescaled=rescaled)
+    max_step = max(steps)
     if args.oracle:
         if any(j == k for j, k in pairs):
             raise ConfigError("oracle comparison needs distinct input guides")
-        oracle_memory_check(base_cfg.n_modes)
+        # each delayed_run keeps a record of every transit until it ends
+        oracle_memory_check(base_cfg.n_modes, transits=max_step + max(delays))
 
     # the eigensystem and the loop relabelling do not depend on theta
     p = require_commuting_loop(base_cfg)
@@ -317,21 +273,10 @@ def cmd_correlate(args) -> int:
 
     out_dir = _out_dir(args)
     formats = tuple(args.formats.split(","))
+    bad = set(formats) - set(_FORMATS)
+    if bad:
+        raise ConfigError(f"unknown output formats {sorted(bad)}; choose from {_FORMATS}")
 
-    manifest = RunManifest(
-        device=base_cfg.to_json_dict(),
-        steps=steps,
-        delays=delays,
-        input_pairs=pairs,
-        thetas=thetas,
-        kinds=kinds,
-        rescaled=rescaled,
-        formats=formats,
-        out_dir=out_dir,
-        seed=args.seed,
-        tool_version=__version__,
-        oracle=bool(args.oracle),
-    )
     # created only once every input has been checked, so a refused run leaves nothing
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -340,7 +285,6 @@ def cmd_correlate(args) -> int:
 
     written = []
     oracle_entries = []
-    max_step = max(steps)
     for ti, theta in enumerate(thetas):
         # the oracle runs of one theta share its step matrices and lifted Couple
         operators = StepOperators(replace(base_cfg, theta=theta)) if args.oracle else None
@@ -377,7 +321,24 @@ def cmd_correlate(args) -> int:
         _write_json(os.path.join(out_dir, "oracle_diff.json"), report)
         written.append("oracle_diff.json")
 
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest.to_json_dict())
+    # everything the sweep depends on, for reproducibility; the seed is
+    # recorded only, nothing in a run is random
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "record": "run_manifest",
+        "device": base_cfg.to_json_dict(),
+        "steps": list(steps),
+        "delays": list(delays),
+        "input_pairs": [list(pair) for pair in pairs],
+        "thetas": list(thetas),
+        "kinds": list(kinds),
+        "rescaled": rescaled,
+        "formats": list(formats),
+        "seed": args.seed,
+        "tool_version": __version__,
+        "oracle": bool(args.oracle),
+    }
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     _log_line(out_dir, f"correlate wrote {len(written) + 1} files to {out_dir}")
     print(f"wrote {len(written) + 1} files to {out_dir}")
     return 0
@@ -447,6 +408,15 @@ def _oracle_cell(cfg, theta, ti, matrix, run, formats, out_dir) -> tuple:
 # ---- other subcommands -----------------------------------------------------------
 
 
+def _write_out(path: str, payload: dict):
+    """Write a command's ``--out`` JSON file; a path that cannot be written,
+    a directory or one below a missing directory, say, is a ConfigError."""
+    try:
+        _write_json(path, payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def cmd_spectra(args) -> int:
     from .spectra import eigensystem_for
 
@@ -463,7 +433,7 @@ def cmd_spectra(args) -> int:
             "n_modes": cfg.n_modes,
         }
         payload.update(es.to_dict())
-        _write_json(args.out, payload)
+        _write_out(args.out, payload)
     return 0
 
 
@@ -495,6 +465,9 @@ def cmd_theta_opt(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
+    import json
+    from dataclasses import replace
+
     from .feasibility import PhysicalParams, discreteness_check, loop_budget
 
     params = PhysicalParams.from_json(_read_input(args.params))
@@ -507,12 +480,10 @@ def cmd_feasibility(args) -> int:
         "budget": loop_budget(params),
         "discreteness": discreteness_check(params, threshold=args.threshold),
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_out(args.out, report)
     else:
-        print(text)
+        print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -584,9 +555,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry():

@@ -168,20 +168,30 @@ def act_on_pairs(u: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (u @ s @ u.T)[pb.i1, pb.i2] * pb.weight
 
 
-def oracle_memory_check(n_modes: int) -> None:
-    """Refuse an oracle whose lifted Couple matrix exceeds physical memory.
+# tracemalloc peak of delayed_run per transit at N = 2..30, beyond the
+# 8 N^2 B of its coincidence matrix: ~680 B for its StepRecord and the
+# four schedule steps
+_TRANSIT_OVERHEAD_BYTES = 768
 
-    Couple is lifted to a dim x dim complex matrix with dim = N(2N+1);
-    raises UnsupportedConfigError before anything of that size is
-    allocated.
+
+def oracle_memory_check(n_modes: int, transits: int = 0) -> None:
+    """Refuse an oracle that would not fit in physical memory.
+
+    Couple is lifted to a dim x dim complex matrix with dim = N(2N+1), and
+    a run over ``transits`` transits keeps a schedule entry and an N x N
+    StepRecord for each until it ends; raises UnsupportedConfigError before
+    anything of that size is allocated.
     """
     dim = n_modes * (2 * n_modes + 1)
-    need = dim * dim * np.dtype(complex).itemsize
+    lifted = dim * dim * np.dtype(complex).itemsize
+    per_transit = n_modes * n_modes * np.dtype(float).itemsize + _TRANSIT_OVERHEAD_BYTES
+    need = lifted + transits * per_transit
     avail = physical_memory_bytes()
     if need > avail:
         raise UnsupportedConfigError(
-            f"the exact oracle at N = {n_modes} needs {need / 1e9:.1f} GB for its "
-            f"lifted coupler matrix, more than the {avail / 1e9:.1f} GB of physical memory"
+            f"the exact oracle at N = {n_modes} needs {need / 1e9:.1f} GB for its lifted "
+            f"coupler matrix and {transits} transit records, more than the "
+            f"{avail / 1e9:.1f} GB of physical memory"
         )
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -316,6 +317,53 @@ def test_step_range_too_large_for_memory_is_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", ["delay", "steps"])
+def test_oracle_run_too_long_for_memory_is_config_error(tmp_path, axis):
+    # every transit keeps an N x N StepRecord, 7.9 KB at N = 30; the step
+    # range passes the closed-form sweep's check at 3.0 KB per step
+    transits = fock_oracle.physical_memory_bytes() // 4000
+    flags = {"delay": ["--steps", "1", "--delay", "100000000000"],
+             "steps": ["--steps", f"1..{transits}"]}[axis]
+    out = tmp_path / "out"
+    proc = _run_capped(
+        "correlate", "--topology", "twisted_circle", "--n-modes", "30", "--c", "7",
+        "--inputs", "1,7", *flags, "--oracle", "--out", str(out),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: the exact oracle at N = 30 needs")
+    assert "transit records" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _without_version(text: str) -> str:
+    return re.sub(r'"tool_version": "[^"]*"', '"tool_version": ""', text)
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("manifest_moebius.json",
+         ["--topology", "moebius", "--n-modes", "8", "--inputs", "1,3;2,5",
+          "--steps", "0..6", "--kind", "both", "--formats", "pgm"]),
+        ("manifest_twisted_oracle.json",
+         ["--topology", "twisted_circle", "--n-modes", "6", "--shift-c", "2",
+          "--inputs", "1,4", "--steps", "1..3", "--delay", "0,2", "--theta", "0.3,0.6",
+          "--physical", "--oracle", "--formats", "json,csv"]),
+    ],
+)
+def test_manifest_bytes_match_golden(tmp_path, capsys, golden, argv):
+    code, out = run(tmp_path, "correlate", *argv)
+    assert code == 0
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+        expected = fh.read()
+    got = (out / "manifest.json").read_text(encoding="utf-8")
+    assert f'"tool_version": "{loopwalk.__version__}"' in got
+    assert _without_version(got) == _without_version(expected)
+
+
 # ---- other subcommands ------------------------------------------------------------
 
 
@@ -463,6 +511,23 @@ def test_unreadable_input_file_is_config_error(tmp_path, capsys, argv, reason):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot read") and reason in err
+
+
+@pytest.mark.parametrize("command", ["spectra", "feasibility"])
+@pytest.mark.parametrize(
+    "target, reason",
+    [("{dir}", "Is a directory"), ("{file}/sub", "Not a directory"),
+     ("{dir}/missing/out.json", "No such file or directory")],
+)
+def test_unwritable_out_file_is_config_error(tmp_path, capsys, command, target, reason):
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(FEASIBILITY_PARAMS))
+    argv = {"spectra": ["spectra", "--n-modes", "4"], "feasibility": ["feasibility", str(pfile)]}
+    out = target.format(dir=tmp_path, file=pfile)
+    assert main(argv[command] + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json"]
 
 
 def test_env_var_sets_output_dir(tmp_path, monkeypatch, capsys):

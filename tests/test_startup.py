@@ -1,4 +1,5 @@
-"""Start-up of the command line: importing it and parsing load no numpy.
+"""Start-up of the command line: importing it and parsing load no numpy,
+json, datetime or dataclasses.
 
 ``import loopwalk`` resolves its public names lazily (PEP 562), so every
 check runs in a fresh interpreter: once any test has imported numpy or a
@@ -49,6 +50,27 @@ def _python(code: str, *args: str) -> str:
 )
 def test_parsing_loads_no_numpy(argv, result):
     assert _python(CLI_PROBE, *argv) == result
+
+
+# prints the modules of LAZY that `<command> --help` loaded, compared with
+# the interpreter's own start-up: a .pth file may preload some of them
+HELP_PROBE = """
+import sys
+LAZY = ("numpy", "json", "datetime", "dataclasses", "inspect")
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+from loopwalk.cli import main
+try:
+    main([sys.argv[2], "--help"])
+except SystemExit:
+    pass
+print(sorted(m for m in LAZY if m in sys.modules and m not in before))
+"""
+
+
+@pytest.mark.parametrize("command", ["correlate", "spectra", "modes", "theta-opt", "feasibility"])
+def test_help_loads_nothing_it_does_not_use(command):
+    assert _python(HELP_PROBE, command) == "[]"
 
 
 # each probe starts from a package none of whose names has been resolved
