@@ -64,13 +64,11 @@ def _parse_steps(text: str) -> Sequence[int]:
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     pairs = []
     for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"input pair {chunk!r} is not of the form j,k")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            j, k = (int(part) for part in chunk.split(","))
         except ValueError:
             raise ConfigError(f"input pair {chunk!r} is not of the form j,k")
+        pairs.append((j, k))
     return _unique(pairs)
 
 
@@ -168,13 +166,13 @@ def _thetas_from_args(args) -> tuple[float, ...]:
     return thetas
 
 
-def _out_dir(args) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    return os.environ.get("QWALK_OUT", "qwalk_out")
-
-
 # ---- writers -------------------------------------------------------------------
+
+
+def _record(record: str, **fields) -> dict:
+    """A JSON record: ``fields`` under the schema version, the tool version
+    and the record's name."""
+    return dict(schema_version=SCHEMA_VERSION, tool_version=__version__, record=record, **fields)
 
 
 def _write_json(path: str, payload: dict):
@@ -239,10 +237,26 @@ def _cell_name(kind: str, rescaled: bool, ti: int, nd: int, n: int, j: int, k: i
     return f"{kind}_{scale}_th{ti}_nd{nd}_n{n}_j{j}k{k}"
 
 
+def _write_cell(out_dir: str, stem: str, record, values, formats) -> list:
+    """Write one cell as ``stem.<format>`` in each of ``formats``; the JSON
+    record, which lists every value, is built by ``record()`` only for json."""
+    written = []
+    for fmt in _FORMATS:
+        if fmt in formats:
+            path = os.path.join(out_dir, f"{stem}.{fmt}")
+            if fmt == "json":
+                _write_json(path, record())
+            else:
+                (_write_csv if fmt == "csv" else _write_pgm)(path, values)
+            written.append(f"{stem}.{fmt}")
+    return written
+
+
 def cmd_correlate(args) -> int:
     from dataclasses import replace
 
-    from .correlations import check_sweep, correlation_sweep, require_commuting_loop
+    from .correlations import (check_sweep, correlation_sweep, require_commuting_loop,
+                               survival_prefactor)
     from .fock_oracle import StepOperators, delayed_run, oracle_memory_check
     from .model import uniform_angle
     from .spectra import eigensystem_for
@@ -266,12 +280,22 @@ def cmd_correlate(args) -> int:
             raise ConfigError("oracle comparison needs distinct input guides")
         # each delayed_run keeps a record of every transit until it ends
         oracle_memory_check(base_cfg.n_modes, transits=max_step + max(delays))
+        if rescaled and max_step >= 1:
+            # rescaling divides by the survival prefactor, which must stay a normal
+            # float; theta = 0 (sin theta = 0) lets no photon in and is left to
+            # the simulator's NumericError
+            for theta in thetas:
+                if theta > 0 and survival_prefactor(theta, max_step) < sys.float_info.min:
+                    raise ConfigError(
+                        f"--oracle cannot rescale transit {max_step} at theta {theta!r}: its "
+                        "survival prefactor underflows the float range (use --physical)"
+                    )
 
     # the eigensystem and the loop relabelling do not depend on theta
     p = require_commuting_loop(base_cfg)
     es = eigensystem_for(base_cfg)
 
-    out_dir = _out_dir(args)
+    out_dir = args.out or os.environ.get("QWALK_OUT", "qwalk_out")
     formats = tuple(args.formats.split(","))
     bad = set(formats) - set(_FORMATS)
     if bad:
@@ -286,6 +310,7 @@ def cmd_correlate(args) -> int:
     written = []
     oracle_entries = []
     for ti, theta in enumerate(thetas):
+        device = {"topology": base_cfg.topology, "n_modes": base_cfg.n_modes, "theta": theta}
         # the oracle runs of one theta share its step matrices and lifted Couple
         operators = StepOperators(replace(base_cfg, theta=theta)) if args.oracle else None
         for nd in delays:
@@ -299,110 +324,62 @@ def cmd_correlate(args) -> int:
                         n_d=nd, kind=kind, rescaled=rescaled,
                     )
                     for matrix in sweep:
-                        written += _write_cell(base_cfg, theta, ti, matrix, formats, out_dir)
-                        if run is not None and kind == "quantum" and matrix.step >= 1:
-                            names, entry = _oracle_cell(
-                                base_cfg, theta, ti, matrix, run, formats, out_dir
-                            )
-                            written += names
-                            oracle_entries.append(entry)
+                        n = matrix.step
+                        name = _cell_name(kind, rescaled, ti, nd, n, j, k)
+                        written += _write_cell(
+                            out_dir, f"corr_{name}",
+                            lambda: _record(
+                                "correlation_matrix", **device,
+                                tau=base_cfg.tau, omega=base_cfg.omega, **matrix.to_dict(),
+                            ),
+                            matrix.values, formats,
+                        )
+                        if run is None or kind != "quantum" or n < 1:
+                            continue
+                        # compared directly with transit n of the exact simulator
+                        oracle = run.transit_records[n - 1].coincidences
+                        if rescaled:
+                            oracle = oracle / survival_prefactor(theta, n)
+                        written += _write_cell(
+                            out_dir, f"oracle_{name}",
+                            lambda: _record(
+                                "oracle_correlation_matrix", **device,
+                                entry_probability=run.entry_prob,
+                                **{**matrix.to_dict(), "values": oracle.tolist()},
+                            ),
+                            oracle, ("json",) if "json" in formats else (),
+                        )
+                        diff = float(abs(matrix.values - oracle).max())
+                        oracle_entries.append(
+                            {"cell": name, "max_abs_diff": diff, "comparison": "direct"}
+                        )
 
     if args.oracle:
         oracle_entries.sort(key=lambda e: e["cell"])
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "record": "oracle_diff_report",
-            "entries": oracle_entries,
-            "worst_max_abs_diff": max(
-                (e["max_abs_diff"] for e in oracle_entries), default=0.0
-            ),
-        }
+        worst = max((e["max_abs_diff"] for e in oracle_entries), default=0.0)
+        report = _record("oracle_diff_report", entries=oracle_entries, worst_max_abs_diff=worst)
         _write_json(os.path.join(out_dir, "oracle_diff.json"), report)
         written.append("oracle_diff.json")
 
     # everything the sweep depends on, for reproducibility; the seed is
     # recorded only, nothing in a run is random
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "record": "run_manifest",
-        "device": base_cfg.to_json_dict(),
-        "steps": list(steps),
-        "delays": list(delays),
-        "input_pairs": [list(pair) for pair in pairs],
-        "thetas": list(thetas),
-        "kinds": list(kinds),
-        "rescaled": rescaled,
-        "formats": list(formats),
-        "seed": args.seed,
-        "tool_version": __version__,
-        "oracle": bool(args.oracle),
-    }
+    manifest = _record(
+        "run_manifest",
+        device=base_cfg.to_json_dict(),
+        steps=list(steps),
+        delays=list(delays),
+        input_pairs=[list(pair) for pair in pairs],
+        thetas=list(thetas),
+        kinds=list(kinds),
+        rescaled=rescaled,
+        formats=list(formats),
+        seed=args.seed,
+        oracle=bool(args.oracle),
+    )
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     _log_line(out_dir, f"correlate wrote {len(written) + 1} files to {out_dir}")
     print(f"wrote {len(written) + 1} files to {out_dir}")
     return 0
-
-
-def _write_cell(cfg, theta, ti, matrix, formats, out_dir) -> list:
-    """Write one correlation matrix in every requested format."""
-    j, k = matrix.inputs
-    name = _cell_name(matrix.kind, matrix.rescaled, ti, matrix.delay, matrix.step, j, k)
-    written = []
-    if "json" in formats:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "record": "correlation_matrix",
-            "topology": cfg.topology,
-            "n_modes": cfg.n_modes,
-            "theta": theta,
-            "tau": cfg.tau,
-            "omega": cfg.omega,
-        }
-        payload.update(matrix.to_dict())
-        _write_json(os.path.join(out_dir, f"corr_{name}.json"), payload)
-        written.append(f"corr_{name}.json")
-    if "csv" in formats:
-        _write_csv(os.path.join(out_dir, f"corr_{name}.csv"), matrix.values)
-        written.append(f"corr_{name}.csv")
-    if "pgm" in formats:
-        _write_pgm(os.path.join(out_dir, f"corr_{name}.pgm"), matrix.values)
-        written.append(f"corr_{name}.pgm")
-    return written
-
-
-def _oracle_cell(cfg, theta, ti, matrix, run, formats, out_dir) -> tuple:
-    """Compare one quantum cell with transit ``matrix.step`` of the exact
-    simulator's ``run``; returns the files written and the report entry."""
-    from .correlations import survival_prefactor
-
-    n, nd, (j, k) = matrix.step, matrix.delay, matrix.inputs
-    physical = run.transit_records[n - 1].coincidences
-    oracle_vals = physical / survival_prefactor(theta, n) if matrix.rescaled else physical
-    name = _cell_name(matrix.kind, matrix.rescaled, ti, nd, n, j, k)
-    written = []
-    if "json" in formats:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "record": "oracle_correlation_matrix",
-            "topology": cfg.topology,
-            "n_modes": cfg.n_modes,
-            "theta": theta,
-            "entry_probability": run.entry_prob,
-            "values": oracle_vals.tolist(),
-            "step": n,
-            "delay": nd,
-            "inputs": [j, k],
-            "kind": matrix.kind,
-            "rescaled": matrix.rescaled,
-        }
-        _write_json(os.path.join(out_dir, f"oracle_{name}.json"), payload)
-        written.append(f"oracle_{name}.json")
-
-    diff = float(abs(matrix.values - oracle_vals).max())
-    return written, {"cell": name, "max_abs_diff": diff, "comparison": "direct"}
 
 
 # ---- other subcommands -----------------------------------------------------------
@@ -425,15 +402,8 @@ def cmd_spectra(args) -> int:
     for idx, lam in enumerate(es.eigenvalues, start=1):
         print(f"lambda_{idx} = {lam:.12g}")
     if args.out:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "record": "eigen_system",
-            "topology": cfg.topology,
-            "n_modes": cfg.n_modes,
-        }
-        payload.update(es.to_dict())
-        _write_out(args.out, payload)
+        device = {"topology": cfg.topology, "n_modes": cfg.n_modes}
+        _write_out(args.out, _record("eigen_system", **device, **es.to_dict()))
     return 0
 
 
@@ -473,13 +443,9 @@ def cmd_feasibility(args) -> int:
     params = PhysicalParams.from_json(_read_input(args.params))
     if args.transits is not None:
         params = replace(params, transits=args.transits)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "record": "feasibility_report",
-        "budget": loop_budget(params),
-        "discreteness": discreteness_check(params, threshold=args.threshold),
-    }
+    budget = loop_budget(params)
+    discreteness = discreteness_check(params, threshold=args.threshold)
+    report = _record("feasibility_report", budget=budget, discreteness=discreteness)
     if args.out:
         _write_out(args.out, report)
     else:

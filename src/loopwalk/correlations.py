@@ -185,12 +185,16 @@ def correlation_sweep(
 def optimal_theta(n: int) -> float:
     """Coupler angle maximising the two-photon exit mass at transit n.
 
-    Maximises cos^(4(n-1)) sin^4 over [0, pi/2]: arccos(sqrt((n-1)/n)).
+    Maximises cos^(4(n-1)) sin^4 over [0, pi/2] at sin^2 theta = 1/n, as
+    atan2(1, sqrt(n - 1)): arccos(sqrt((n-1)/n)) loses digits as n grows.
     Larger n favours weaker taps, approaching theta ~ 1/sqrt(n).
     """
     if n < 1:
         raise ConfigError(f"transit count must be >= 1, got {n}")
-    return math.acos(math.sqrt((n - 1) / n))
+    try:
+        return math.atan2(1.0, math.sqrt(n - 1))
+    except OverflowError:
+        raise ConfigError("transit count is too large for a float") from None
 
 
 def symmetry_map(topology: str, n: int, n_modes: int, shift_c: int | None = None) -> Permutation:

@@ -198,6 +198,18 @@ def oracle_memory_check(n_modes: int, transits: int = 0) -> None:
 # ---- states ---------------------------------------------------------------
 
 
+def _tap_coincidences(n_modes: int, amps: np.ndarray) -> np.ndarray:
+    """N x N tap-guide pair probabilities |<b_r b_s|psi>|^2 of the pair
+    amplitudes ``amps`` over the 2N modes."""
+    pb = pair_basis(2 * n_modes)
+    taps = pb.i1 >= n_modes  # both photons in tap guides
+    probs = np.abs(amps[taps]) ** 2
+    r, s = pb.i1[taps] - n_modes, pb.i2[taps] - n_modes
+    out = np.zeros((n_modes, n_modes))
+    out[r, s] = out[s, r] = probs
+    return out
+
+
 @dataclass(frozen=True)
 class TwoPhotonState:
     """Exactly two photons across the 2N device modes.
@@ -238,16 +250,7 @@ class TwoPhotonState:
 
     def coincidence_matrix(self) -> np.ndarray:
         """N x N matrix of tap-guide pair probabilities |<b_r b_s|psi>|^2."""
-        n = self.n_modes
-        pb = pair_basis(2 * n)
-        mask = pb.i1 >= n
-        probs = np.abs(self.amps[mask]) ** 2
-        r = pb.i1[mask] - n
-        s = pb.i2[mask] - n
-        out = np.zeros((n, n))
-        out[r, s] = probs
-        out[s, r] = probs
-        return out
+        return _tap_coincidences(self.n_modes, self.amps)
 
     @classmethod
     def from_array_pair(cls, n_modes: int, j: int, k: int) -> "TwoPhotonState":
@@ -420,28 +423,14 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """A run's StepRecords; ``transit_records`` are those after its last
+    conditioning event, the observation transits n = 1, 2, ... in order, and
+    ``entry_prob`` is the joint probability of all its conditioning events."""
+
     records: tuple[StepRecord, ...]
+    transit_records: tuple[StepRecord, ...]
+    entry_prob: float
     final_state: TwoPhotonState | None
-    post_selection_prob: float
-
-    @property
-    def entry_prob(self) -> float:
-        """Joint probability of all renormalised conditioning events."""
-        prob = 1.0
-        for rec in self.records:
-            if rec.renormalized:
-                prob = rec.post_selection_prob
-        return prob
-
-    @property
-    def transit_records(self) -> tuple[StepRecord, ...]:
-        """Records after the last conditioning event: the observation
-        transits n = 1, 2, ... in order."""
-        last = -1
-        for i, rec in enumerate(self.records):
-            if rec.renormalized:
-                last = i
-        return self.records[last + 1 :]
 
 
 def run_pipeline(
@@ -465,10 +454,10 @@ def run_pipeline(
     schedule = list(schedule)
 
     injected = sum(isinstance(s, InjectB) for s in schedule)
-    carried = 2 if initial_state is not None else 0
-    if injected + carried != 2:
+    nphot = 2 if initial_state is not None else 0
+    if injected + nphot != 2:
         raise ConfigError(
-            f"schedule injects {injected + carried} photons in total, need exactly 2"
+            f"schedule injects {injected + nphot} photons in total, need exactly 2"
         )
     if initial_state is not None and initial_state.n_modes != n:
         raise ConfigError(
@@ -484,17 +473,12 @@ def run_pipeline(
     elif operators.cfg is not cfg:
         raise ConfigError("step operators were built for another DeviceConfig object")
 
-    nphot = 2 if initial_state is not None else 0
     vec = np.array(initial_state.amps, dtype=complex) if initial_state is not None else None
 
-    b_pair = pb.i1 >= n   # both photons in tap guides
-    any_b = pb.i2 >= n    # at least one photon in a tap guide
-    b_r = pb.i1[b_pair] - n
-    b_s = pb.i2[b_pair] - n
-
+    any_b = pb.i2 >= n  # at least one photon in a tap guide
     records: list[StepRecord] = []
     cumulative = 1.0
-    proj_count = 0
+    entry_end = 0  # records[:entry_end] end with the last conditioning event
 
     for step in schedule:
         if isinstance(step, Permute):
@@ -527,16 +511,12 @@ def run_pipeline(
                 nphot = 2
         elif isinstance(step, ProjectBVacuum):
             pre = float(np.sum(np.abs(vec) ** 2))
+            vec = vec.copy()
             if nphot == 2:
-                probs = np.abs(vec[b_pair]) ** 2
-                coinc = np.zeros((n, n))
-                coinc[b_r, b_s] = probs
-                coinc[b_s, b_r] = probs
-                vec = vec.copy()
+                coinc = _tap_coincidences(n, vec)
                 vec[any_b] = 0.0
             else:
                 coinc = np.zeros((n, n))
-                vec = vec.copy()
                 vec[n:] = 0.0
             post = float(np.sum(np.abs(vec) ** 2))
             removed = pre - post
@@ -548,10 +528,10 @@ def run_pipeline(
                 cumulative *= post
                 vec = vec / np.sqrt(post)
                 post = 1.0
-            proj_count += 1
+                entry_end = len(records) + 1
             records.append(
                 StepRecord(
-                    index=proj_count,
+                    index=len(records) + 1,
                     coincidences=coinc,
                     removed_mass=removed,
                     survival_norm_sq=post,
@@ -562,8 +542,12 @@ def run_pipeline(
         else:
             raise ConfigError(f"unknown pipeline step {step!r}")
 
-    final = TwoPhotonState(n, vec) if nphot == 2 else None
-    return PipelineResult(tuple(records), final, cumulative)
+    return PipelineResult(
+        records=tuple(records),
+        transit_records=tuple(records[entry_end:]),
+        entry_prob=cumulative,
+        final_state=TwoPhotonState(n, vec) if nphot == 2 else None,
+    )
 
 
 # ---- standard schedules ------------------------------------------------------

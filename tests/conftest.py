@@ -4,9 +4,18 @@ pytest captures file descriptors while tests execute, so the acceptance
 tests record their verdicts in test_acceptance.RESULTS and this summary
 hook writes the one-line-per-criterion scoreboard where it is actually
 visible (including under `pytest ... | tee`).
+
+Property tests draw their examples from a seed derived from each test
+function, so a run's examples depend only on the commit; each test's own
+``@settings(max_examples=...)`` still sets how many it draws.
 """
 
 import sys
+
+from hypothesis import settings
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -772,3 +772,47 @@ def test_pgm_zero_matrix(tmp_path):
     path = tmp_path / "z.pgm"
     _write_pgm(str(path), np.zeros((2, 2)))
     assert path.read_text().splitlines()[3].split() == ["0", "0", "0", "0"]
+
+
+# ---- oracle scale range and theta-opt range ---------------------------------------
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+_LONG_CYLINDER = ["correlate", "--topology", "cylinder", "--n-modes", "3", "--inputs", "1,2",
+                  "--oracle", "--formats", "pgm"]
+
+
+def test_rescaled_oracle_past_float_range_is_config_error(tmp_path, capsys):
+    # the survival prefactor underflows past n ~ 512 at pi/4 and rescaling
+    # the simulator's values gave 0/0 = NaN in oracle_diff.json
+    code, out = run(tmp_path, *_LONG_CYLINDER, "--steps", "1..1200")
+    assert code == 2
+    assert "--oracle cannot rescale transit 1200" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rescaled_oracle_just_inside_float_range_runs(tmp_path):
+    code, out = run(tmp_path, *_LONG_CYLINDER, "--steps", "1..510")
+    assert code == 0
+    assert _strict_json(out / "oracle_diff.json")["worst_max_abs_diff"] < 1e-12
+
+
+def test_physical_oracle_past_rescaling_range_runs(tmp_path):
+    code, out = run(tmp_path, *_LONG_CYLINDER, "--steps", "1..600", "--physical")
+    assert code == 0
+    report = _strict_json(out / "oracle_diff.json")
+    assert len(report["entries"]) == 600
+    assert report["worst_max_abs_diff"] < 1e-15
+
+
+def test_theta_opt_keeps_precision_and_refuses_overflow(capsys):
+    assert main(["theta-opt", "--n", "100000000000000000"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(10**-8.5, rel=1e-11)
+    assert main(["theta-opt", "--n", str(10**400)]) == 2
+    assert "too large for a float" in capsys.readouterr().err

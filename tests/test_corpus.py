@@ -115,7 +115,7 @@ def test_corpus_covers_every_case():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_bytes_match_corpus(tmp_path, capsys, name):
+def test_output_bytes_match_corpus(tmp_path, name):
     corpus = _corpus()
     expected = corpus["cases"][name]
     got = case_hashes(name, str(tmp_path))

@@ -445,3 +445,18 @@ def test_two_photon_check_rejects_moving_state():
     )
     with pytest.raises(ValueError, match="invariant"):
         two_photon_invariant_check(es, p, 0.6, 1.0, e1, e2, n_steps=3)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 7, 12345, 10**6, 10**12, 10**17, 10**20, 10**20 + 1, 2**60 + 1]
+)
+def test_optimal_theta_keeps_full_precision(n):
+    # sin^2 theta = 1/n exactly at the optimum; arccos(sqrt((n-1)/n)) lost
+    # digits from n ~ 1e4 and returned 0 from n = 1e17
+    theta = optimal_theta(n)
+    assert abs(n * np.sin(theta) ** 2 - 1.0) <= 4 * np.finfo(float).eps
+
+
+def test_optimal_theta_beyond_floats_is_config_error():
+    with pytest.raises(ConfigError, match="too large for a float"):
+        optimal_theta(10**400)
