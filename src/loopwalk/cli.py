@@ -40,7 +40,7 @@ def _unique(items) -> tuple:
     return tuple(dict.fromkeys(items))
 
 
-def _parse_steps(text: str) -> Sequence[int]:
+def _parse_steps(text: str) -> range | tuple[int, ...]:
     """A step list, or a lo..hi range kept as a range: check_sweep sizes it
     against memory before any step is built."""
     text = text.strip()
@@ -120,38 +120,30 @@ def _add_device_flags(sub: argparse.ArgumentParser):
 
 
 def _device_from_args(args, theta) -> DeviceConfig:
+    """The device of ``--config`` or of the device flags given; the
+    command line's own defaults are a cylinder of 21 guides and, for a
+    twisted circle, the nearest-neighbour ring."""
     from .model import DeviceConfig, mode_count_check
 
+    given = {flag: getattr(args, flag) for flag in _DEVICE_FLAGS
+             if getattr(args, flag) is not None}
     if args.config:
-        for flag in _DEVICE_FLAGS:
-            if getattr(args, flag) is not None:
-                raise ConfigError(f"--config cannot be combined with --{flag.replace('_', '-')}")
+        if given:
+            flag = next(iter(given)).replace("_", "-")
+            raise ConfigError(f"--config cannot be combined with --{flag}")
         return DeviceConfig.from_json(_read_input(args.config))
-    topology = args.topology or "cylinder"
-    n_modes = args.n_modes if args.n_modes is not None else 21
-    tau = args.tau if args.tau is not None else 1.0
-    omega = args.omega if args.omega is not None else 0.0
-    g_vector = None
-    if topology == "twisted_circle":
-        if args.g_vector is not None:
-            g_vector = _parse_float_list(args.g_vector)
-        else:
-            # nearest-neighbour ring
-            mode_count_check(n_modes)
-            g = [0.0] * n_modes
-            if n_modes >= 2:
-                g[1] = 1.0
-                g[-1] = 1.0
-            g_vector = tuple(g)
-    return DeviceConfig(
-        topology=topology,
-        n_modes=n_modes,
-        theta=theta,
-        tau=tau,
-        omega=omega,
-        shift_c=args.shift_c,
-        g_vector=g_vector,
-    )
+    device = {"topology": "cylinder", "n_modes": 21, **given, "theta": theta}
+    if args.g_vector is not None:
+        device["g_vector"] = _parse_float_list(args.g_vector)
+    elif device["topology"] == "twisted_circle":
+        n_modes = device["n_modes"]
+        mode_count_check(n_modes)
+        g = [0.0] * n_modes
+        if n_modes >= 2:
+            g[1] = 1.0
+            g[-1] = 1.0
+        device["g_vector"] = tuple(g)
+    return DeviceConfig(**device)
 
 
 def _thetas_from_args(args) -> tuple[float, ...]:

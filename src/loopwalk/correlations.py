@@ -46,7 +46,7 @@ from .model import (
     Permutation,
     UnsupportedConfigError,
     permutation_for,
-    physical_memory_bytes,
+    require_memory,
     uniform_angle,
 )
 from .propagate import compose, order, permute_modes
@@ -78,13 +78,8 @@ def check_sweep(n_modes: int, steps, pairs, delays, kinds, *, rescaled: bool):
     is checked before any step is read.
     """
     per_step = _STEP_VECTORS * n_modes * np.dtype(complex).itemsize + _STEP_OVERHEAD_BYTES
-    need = len(steps) * per_step
-    avail = physical_memory_bytes()
-    if need > avail:
-        raise ConfigError(
-            f"{len(steps)} steps at N = {n_modes} need {need / 1e9:.1f} GB for the "
-            f"sweep's per-step arrays, more than the {avail / 1e9:.1f} GB of physical memory"
-        )
+    require_memory(len(steps) * per_step, f"{len(steps)} steps at N = {n_modes} need",
+                   "the sweep's per-step arrays", ConfigError)
     for kind in kinds:
         if kind not in ("quantum", "classical"):
             raise ConfigError(f"kind must be quantum or classical, got {kind!r}")

@@ -9,29 +9,12 @@ transits remain discrete events.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
-from .model import ConfigError, as_float, as_int
+from .model import ConfigError, as_float, as_int, json_object, record_from_dict
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
-
-_PARAM_KEYS = {
-    "wavelength_m",
-    "background_index",
-    "group_index",
-    "loop_radius_m",
-    "bend_loss_per_cm",
-    "pulse_width_s",
-    "bandwidth_hz",
-    "bandwidth_wavelength_m",
-    "dispersion_ps_nm_km",
-    "coupler_separation_m",
-    "transits",
-}
-# may be None; a JSON null in one of these is the same as the key left out
-_OPTIONAL_PARAMS = {"group_index", "bandwidth_hz", "bandwidth_wavelength_m"}
 
 
 @dataclass(frozen=True)
@@ -45,8 +28,8 @@ class PhysicalParams:
     magnitude spreads the pulse).
 
     A PhysicalParams that exists is valid: construction converts every
-    field, refusing a string, bool or None (None is kept in the optional
-    fields) and a non-integer ``transits``, then checks every range.
+    field, refusing a string, bool or None (None is kept in a field that
+    defaults to None) and a non-integer ``transits``, then checks every range.
     """
 
     wavelength_m: float
@@ -64,7 +47,7 @@ class PhysicalParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None and f.name in _OPTIONAL_PARAMS:
+            if value is None and f.default is None:
                 continue
             try:
                 value = as_int(value) if f.name == "transits" else as_float(value)
@@ -123,23 +106,11 @@ class PhysicalParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PhysicalParams":
-        unknown = set(d) - _PARAM_KEYS
-        if unknown:
-            raise ConfigError(f"unknown physical parameter keys: {sorted(unknown)}")
-        missing = _PARAM_KEYS - _OPTIONAL_PARAMS - set(d)
-        if missing:
-            raise ConfigError(f"missing physical parameter keys: {sorted(missing)}")
-        return cls(**d)
+        return record_from_dict(cls, d, "physical parameter", {})
 
     @classmethod
     def from_json(cls, text: str) -> "PhysicalParams":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"physical parameters are not valid JSON: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ConfigError("physical parameter JSON must be an object")
-        return cls.from_json_dict(d)
+        return cls.from_json_dict(json_object(text, "physical parameter"))
 
 
 def loop_budget(params: PhysicalParams) -> dict:

@@ -33,7 +33,8 @@ from .model import (
     UnsupportedConfigError,
     _readonly,
     permutation_for,
-    physical_memory_bytes,
+    physical_memory_bytes,  # noqa: F401 (re-exported)
+    require_memory,
 )
 from .spectra import coupling_for
 
@@ -185,14 +186,9 @@ def oracle_memory_check(n_modes: int, transits: int = 0) -> None:
     dim = n_modes * (2 * n_modes + 1)
     lifted = dim * dim * np.dtype(complex).itemsize
     per_transit = n_modes * n_modes * np.dtype(float).itemsize + _TRANSIT_OVERHEAD_BYTES
-    need = lifted + transits * per_transit
-    avail = physical_memory_bytes()
-    if need > avail:
-        raise UnsupportedConfigError(
-            f"the exact oracle at N = {n_modes} needs {need / 1e9:.1f} GB for its lifted "
-            f"coupler matrix and {transits} transit records, more than the "
-            f"{avail / 1e9:.1f} GB of physical memory"
-        )
+    require_memory(lifted + transits * per_transit, f"the exact oracle at N = {n_modes} needs",
+                   f"its lifted coupler matrix and {transits} transit records",
+                   UnsupportedConfigError)
 
 
 # ---- states ---------------------------------------------------------------
@@ -408,12 +404,9 @@ class StepRecord:
     conditioning event up to and including this one.
     """
 
-    index: int
     coincidences: np.ndarray
     removed_mass: float
-    survival_norm_sq: float
     post_selection_prob: float
-    renormalized: bool
 
     def __post_init__(self):
         object.__setattr__(
@@ -527,17 +520,9 @@ def run_pipeline(
                     )
                 cumulative *= post
                 vec = vec / np.sqrt(post)
-                post = 1.0
                 entry_end = len(records) + 1
             records.append(
-                StepRecord(
-                    index=len(records) + 1,
-                    coincidences=coinc,
-                    removed_mass=removed,
-                    survival_norm_sq=post,
-                    post_selection_prob=cumulative,
-                    renormalized=step.renormalize,
-                )
+                StepRecord(coincidences=coinc, removed_mass=removed, post_selection_prob=cumulative)
             )
         else:
             raise ConfigError(f"unknown pipeline step {step!r}")

@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -186,19 +186,41 @@ class EigenSystem:
         return cls(np.array(d["eigenvalues"], dtype=float), v)
 
 
-# ---- device configuration ----------------------------------------------
+# ---- JSON records ------------------------------------------------------
 
-_DEVICE_KEYS = {
-    "topology",
-    "n_modes",
-    "theta",
-    "tau",
-    "omega",
-    "shift_c",
-    "g_vector",
-    "custom_G",
-    "custom_perm",
-}
+
+def json_object(text: str, what: str) -> dict:
+    """``text`` parsed as a JSON object; anything else is a ConfigError
+    naming ``what``."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} JSON is not valid: {exc}") from exc
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} JSON must be an object")
+    return d
+
+
+def record_from_dict(cls, d: dict, what: str, json_names: dict):
+    """The dataclass ``cls`` built from the JSON object ``d``.
+
+    A field's key is ``json_names.get(name, name)``.  A field without a
+    default is required, any other may be left out (a null in one whose
+    default is None is the same as leaving it out); unknown and missing
+    keys are refused with a ConfigError naming ``what`` and the keys, and
+    the values are left to ``cls`` to check.
+    """
+    by_key = {json_names.get(f.name, f.name): f for f in fields(cls)}
+    unknown = set(d) - set(by_key)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [k for k, f in by_key.items() if f.default is MISSING and k not in d]
+    if missing:
+        raise ConfigError(f"missing {what} keys: {sorted(missing)}")
+    return cls(**{by_key[k].name: v for k, v in d.items()})
+
+
+# ---- device configuration ----------------------------------------------
 
 
 def uniform_angle(theta) -> float:
@@ -254,6 +276,17 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def require_memory(need: int, who: str, what: str, error: type) -> None:
+    """Raise ``error`` when ``need`` bytes, which ``who`` needs for ``what``,
+    exceed the host's physical memory."""
+    avail = physical_memory_bytes()
+    if need > avail:
+        raise error(
+            f"{who} {need / 1e9:.1f} GB for {what}, "
+            f"more than the {avail / 1e9:.1f} GB of physical memory"
+        )
+
+
 # tracemalloc peak of eigensystem_for, in N x N complex matrices, at
 # N = 128..512: 4.5 for a chain, 5.0 for a custom coupling, 6.0 for a ring
 _EIGENSYSTEM_MATRICES = 6
@@ -265,13 +298,9 @@ def mode_count_check(n_modes: int) -> None:
     Raises ConfigError before anything is sized by the mode count; a count
     below one is left to the device's own check.
     """
-    need = _EIGENSYSTEM_MATRICES * n_modes**2 * np.dtype(complex).itemsize
-    avail = physical_memory_bytes()
-    if n_modes > 0 and need > avail:
-        raise ConfigError(
-            f"N = {n_modes} needs {need / 1e9:.1f} GB for its eigensystem, "
-            f"more than the {avail / 1e9:.1f} GB of physical memory"
-        )
+    if n_modes > 0:
+        need = _EIGENSYSTEM_MATRICES * n_modes**2 * np.dtype(complex).itemsize
+        require_memory(need, f"N = {n_modes} needs", "its eigensystem", ConfigError)
 
 
 def _mode_count(value) -> int:
@@ -280,11 +309,10 @@ def _mode_count(value) -> int:
     return n
 
 
-# How each field is converted, n_modes first since a scalar theta is
-# broadcast over it (over one guide when n_modes < 1, which is refused
-# later, so a huge negative count cannot overflow the broadcast, and a
-# count too large for memory is refused before it); a None in an
-# optional field is kept as None.
+# How each field is converted, in field order: n_modes before theta, since
+# a scalar theta is broadcast over it (over one guide when n_modes < 1,
+# which is refused later, so a huge negative count cannot overflow the
+# broadcast, and a count too large for memory is refused before it).
 _CONVERTERS = {
     "n_modes": lambda v, n: _mode_count(v),
     "theta": lambda v, n: (
@@ -297,7 +325,15 @@ _CONVERTERS = {
     "custom_g": _float_matrix,
     "custom_perm": lambda v, n: _each(as_int, v),
 }
-_OPTIONAL = {"shift_c", "g_vector", "custom_g", "custom_perm"}
+# a field's JSON key where it differs from the field's name
+_JSON_NAMES = {"custom_g": "custom_G"}
+# the one topology that reads each topology-specific field
+_READ_BY = {
+    "shift_c": "twisted_circle",
+    "g_vector": "twisted_circle",
+    "custom_g": "custom",
+    "custom_perm": "custom",
+}
 
 
 @dataclass(frozen=True)
@@ -308,7 +344,9 @@ class DeviceConfig:
     refusing a count (``n_modes``, ``shift_c``, ``custom_perm`` entries)
     that is not an integer, then raises one ConfigError listing every
     violated invariant.  ``theta`` is a scalar (broadcast to every guide) or
-    one angle per guide, and is stored per guide.
+    one angle per guide, and is stored per guide.  A field that defaults to
+    None stays None when left out, and is refused on a topology that does
+    not read it.
     """
 
     topology: str
@@ -322,16 +360,16 @@ class DeviceConfig:
     custom_perm: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for name, convert in _CONVERTERS.items():
-            value = getattr(self, name)
-            if value is None and name in _OPTIONAL:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in _CONVERTERS or (value is None and f.default is None):
                 continue
             try:
-                value = convert(value, self.n_modes)
+                value = _CONVERTERS[f.name](value, self.n_modes)
             except (TypeError, ValueError, OverflowError) as exc:
-                key = "custom_G" if name == "custom_g" else name
+                key = _JSON_NAMES.get(f.name, f.name)
                 raise ConfigError(f"invalid device config:\n  {key}: {exc}") from None
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, f.name, value)
         violations = self._violations()
         if violations:
             raise ConfigError("invalid device config:\n  " + "\n  ".join(violations))
@@ -340,6 +378,10 @@ class DeviceConfig:
         v: list[str] = []
         if self.topology not in TOPOLOGIES:
             v.append(f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}")
+        for name, topology in _READ_BY.items():
+            if getattr(self, name) is not None and self.topology != topology:
+                key = _JSON_NAMES.get(name, name)
+                v.append(f"{key} is read by the {topology} topology only")
         n = self.n_modes
         if n < 1:
             v.append(f"n_modes must be a positive integer, got {n!r}")
@@ -402,44 +444,25 @@ class DeviceConfig:
     # -- JSON round trip --
 
     def to_json_dict(self) -> dict:
-        th = self.theta
-        theta_out = th[0] if len(set(th)) == 1 else list(th)
-        d: dict = {
-            "topology": self.topology,
-            "n_modes": self.n_modes,
-            "theta": theta_out,
-            "tau": self.tau,
-            "omega": self.omega,
-        }
-        if self.shift_c is not None:
-            d["shift_c"] = self.shift_c
-        if self.g_vector is not None:
-            d["g_vector"] = list(self.g_vector)
-        if self.custom_g is not None:
-            d["custom_G"] = [float(x) for x in self.custom_g.ravel()]
-        if self.custom_perm is not None:
-            d["custom_perm"] = list(self.custom_perm)
+        """The fields that are set, under their JSON keys, with tuples and
+        arrays as flat lists; a theta that is the same on every guide is
+        written as that one angle."""
+        d: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.ravel().tolist()
+            elif isinstance(value, tuple):
+                value = list(value)
+            if value is not None:
+                d[_JSON_NAMES.get(f.name, f.name)] = value
+        if len(set(self.theta)) == 1:
+            d["theta"] = self.theta[0]
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DeviceConfig":
-        unknown = set(d) - _DEVICE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown device config keys: {sorted(unknown)}")
-        for key in ("topology", "n_modes", "theta"):
-            if key not in d:
-                raise ConfigError(f"device config missing required key {key!r}")
-        return cls(
-            topology=d["topology"],
-            n_modes=d["n_modes"],
-            theta=d["theta"],
-            tau=d.get("tau", 1.0),
-            omega=d.get("omega", 0.0),
-            shift_c=d.get("shift_c"),
-            g_vector=d.get("g_vector"),
-            custom_g=d.get("custom_G"),
-            custom_perm=d.get("custom_perm"),
-        )
+        return record_from_dict(cls, d, "device config", _JSON_NAMES)
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)
@@ -447,13 +470,7 @@ class DeviceConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceConfig":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"device config is not valid JSON: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ConfigError("device config JSON must be an object")
-        return cls.from_json_dict(d)
+        return cls.from_json_dict(json_object(text, "device config"))
 
 
 def _circulant_symmetry_violations(g_vector: Sequence[float]) -> list[int]:

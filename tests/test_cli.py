@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -638,6 +639,52 @@ def test_config_file_violation_is_named(tmp_path, capsys, device, violation):
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid device config:") and violation in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, keys",
+    [
+        (["--topology", "cylinder", "--g-vector", "9,9,9,9", "--shift-c", "3"],
+         ["g_vector", "shift_c"]),
+        (["--shift-c", "1"], ["shift_c"]),
+        (["--topology", "moebius", "--c", "2"], ["shift_c"]),
+        (["--topology", "moebius", "--g-vector", "0,1,0,1"], ["g_vector"]),
+    ],
+)
+def test_twisted_circle_flags_on_another_topology_exit_2(tmp_path, capsys, flags, keys):
+    code, out = run(tmp_path, "correlate", "--n-modes", "4", *flags, "--inputs", "1,2",
+                    "--steps", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid device config:")
+    for key in keys:
+        assert f"{key} is read by the twisted_circle topology only" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "device, key, owner",
+    [
+        ({"topology": "cylinder", "shift_c": 3}, "shift_c", "twisted_circle"),
+        ({"topology": "moebius", "g_vector": [9, 9, 9, 9]}, "g_vector", "twisted_circle"),
+        ({**_RING, "g_vector": [0, 1, 0, 1], "custom_perm": [1, 2, 3, 4]}, "custom_perm", "custom"),
+        ({"topology": "cylinder", "custom_G": [0.0] * 16}, "custom_G", "custom"),
+    ],
+)
+def test_config_file_key_its_topology_does_not_read_exits_2(tmp_path, capsys, device, key, owner):
+    cfile = tmp_path / "dev.json"
+    cfile.write_text(json.dumps({"n_modes": 4, "theta": 0.5, **device}))
+    code, out = run(tmp_path, "correlate", "--config", str(cfile), "--inputs", "1,2", "--steps", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid device config:")
+    assert f"{key} is read by the {owner} topology only" in err
+    assert not out.exists()
+
+
+def test_parse_steps_annotation_resolves():
+    hints = typing.get_type_hints(_parse_steps)
+    assert hints == {"text": str, "return": range | tuple[int, ...]}
 
 
 def test_oracle_lifts_step_matrices_once_per_theta(tmp_path, monkeypatch):

@@ -206,3 +206,40 @@ def test_json_rejects_unknown_and_missing_keys():
         PhysicalParams.from_json('{"radius": 1}')
     with pytest.raises(ConfigError, match="missing"):
         PhysicalParams.from_json('{"wavelength_m": 8e-7}')
+
+
+# ---- the JSON reader ------------------------------------------------------------
+
+_REQUIRED = [f.name for f in dataclasses.fields(PhysicalParams)
+             if f.default is dataclasses.MISSING]
+
+
+def _glass_dict() -> dict:
+    return {k: v for k, v in dataclasses.asdict(PhysicalParams.glass_800nm()).items()
+            if v is not None}
+
+
+@pytest.mark.parametrize("key", ["radius", "transit", "Group_index", "custom_G"])
+def test_json_refuses_an_unknown_key_naming_it(key):
+    with pytest.raises(ConfigError) as err:
+        PhysicalParams.from_json(json.dumps({**_glass_dict(), key: 1}))
+    assert str(err.value) == f"unknown physical parameter keys: [{key!r}]"
+
+
+@pytest.mark.parametrize("key", _REQUIRED)
+def test_json_names_each_missing_required_key(key):
+    d = {k: v for k, v in _glass_dict().items() if k != key}
+    with pytest.raises(ConfigError) as err:
+        PhysicalParams.from_json(json.dumps(d))
+    assert str(err.value) == f"missing physical parameter keys: [{key!r}]"
+
+
+@pytest.mark.parametrize("text", ["[]", json.dumps([_glass_dict()]), '"glass"'])
+def test_json_must_be_an_object(text):
+    with pytest.raises(ConfigError, match="^physical parameter JSON must be an object$"):
+        PhysicalParams.from_json(text)
+
+
+def test_json_that_does_not_parse_is_config_error():
+    with pytest.raises(ConfigError, match="^physical parameter JSON is not valid: "):
+        PhysicalParams.from_json("{")

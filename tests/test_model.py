@@ -12,6 +12,8 @@ from loopwalk.model import (
     Permutation,
     UnsupportedConfigError,
     permutation_for,
+    physical_memory_bytes,
+    require_memory,
     uniform_angle,
 )
 
@@ -340,3 +342,74 @@ def test_correlation_matrix_dict_round_trip():
     assert back.step == m.step and back.delay == m.delay
     assert back.inputs == m.inputs
     assert back.kind == m.kind and back.rescaled == m.rescaled
+
+
+# ---- JSON records and the memory rule ------------------------------------------
+
+_CORE = {"topology": "cylinder", "n_modes": 3, "theta": 0.1}
+
+
+def test_device_json_null_in_an_optional_key_is_the_key_left_out():
+    cfg = DeviceConfig.from_json(json.dumps({**_CORE, "shift_c": None, "custom_G": None}))
+    assert cfg == DeviceConfig.from_json(json.dumps(_CORE))
+    assert cfg.shift_c is None and cfg.custom_g is None
+
+
+@pytest.mark.parametrize("key", ["custom_g", "n_mode", "Theta", "G"])
+def test_device_json_refuses_an_unknown_key_naming_it(key):
+    with pytest.raises(ConfigError) as err:
+        DeviceConfig.from_json(json.dumps({**_CORE, key: 0}))
+    assert str(err.value) == f"unknown device config keys: [{key!r}]"
+
+
+@pytest.mark.parametrize("key", ["topology", "n_modes", "theta"])
+def test_device_json_names_each_missing_required_key(key):
+    d = {k: v for k, v in _CORE.items() if k != key}
+    with pytest.raises(ConfigError) as err:
+        DeviceConfig.from_json(json.dumps(d))
+    assert str(err.value) == f"missing device config keys: [{key!r}]"
+
+
+@pytest.mark.parametrize("text", ["[]", json.dumps([_CORE]), "3", "null"])
+def test_device_json_must_be_an_object(text):
+    with pytest.raises(ConfigError, match="^device config JSON must be an object$"):
+        DeviceConfig.from_json(text)
+
+
+def test_device_json_that_does_not_parse_is_config_error():
+    with pytest.raises(ConfigError, match="^device config JSON is not valid: "):
+        DeviceConfig.from_json('{"topology": ')
+
+
+# a device's JSON with a key its topology does not read, and that key
+_UNREAD = [
+    ("cylinder", {"shift_c": 1}, "shift_c"),
+    ("moebius", {"g_vector": [0.0, 1.0, 1.0]}, "g_vector"),
+    ("cylinder", {"custom_G": [0.0] * 9}, "custom_G"),
+    ("moebius", {"custom_perm": [1, 2, 3]}, "custom_perm"),
+    ("custom", {"custom_G": [0.0] * 9, "custom_perm": [1, 2, 3], "shift_c": 0}, "shift_c"),
+    ("twisted_circle", {"shift_c": 1, "g_vector": [0.0, 1.0, 1.0], "custom_perm": [1, 2, 3]},
+     "custom_perm"),
+]
+
+
+@pytest.mark.parametrize("topology, extra, key", _UNREAD)
+def test_field_on_a_topology_that_does_not_read_it_is_refused(topology, extra, key):
+    d = {"topology": topology, "n_modes": 3, "theta": 0.5, **extra}
+    owner = "twisted_circle" if key in ("shift_c", "g_vector") else "custom"
+    message = f"invalid device config:\n.*{key} is read by the {owner} topology only"
+    with pytest.raises(ConfigError, match=message):
+        DeviceConfig.from_json(json.dumps(d))
+    with pytest.raises(ConfigError, match=message):
+        DeviceConfig(**{("custom_g" if k == "custom_G" else k): v for k, v in d.items()})
+
+
+def test_require_memory_raises_the_given_error_with_one_sentence():
+    avail = physical_memory_bytes()
+    require_memory(avail, "the job needs", "its arrays", ConfigError)
+    with pytest.raises(UnsupportedConfigError) as err:
+        require_memory(avail + 1, "the job needs", "its arrays", UnsupportedConfigError)
+    assert str(err.value) == (
+        f"the job needs {(avail + 1) / 1e9:.1f} GB for its arrays, "
+        f"more than the {avail / 1e9:.1f} GB of physical memory"
+    )

@@ -8,14 +8,16 @@ G = sum_k a_k (P^k + P^-k), which commute with their random loop
 permutation P by construction.  Every drawn device round-trips through
 its JSON form, and a drawn device's JSON with one field of the wrong type
 or out of range, or one key missing or unknown, is refused by
-``correlate --config`` with exit code 2.
+``correlate --config`` with exit code 2.  The same holds for drawn
+physical loop parameters: they round-trip through JSON, and with one key
+missing or unknown ``feasibility`` refuses them with exit code 2.
 """
 
 import contextlib
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -28,6 +30,7 @@ from loopwalk.correlations import (
     survival_prefactor,
     symmetry_map,
 )
+from loopwalk.feasibility import PhysicalParams
 from loopwalk.fock_oracle import StepOperators, delayed_run
 from loopwalk.model import TOPOLOGIES, DeviceConfig, Permutation, permutation_for
 from loopwalk.propagate import permute_modes
@@ -235,3 +238,57 @@ def test_malformed_device_config_exits_2(case, tmp_path_factory):
     assert err.getvalue().startswith("config error:")
     assert "device config" in err.getvalue() and key in err.getvalue()
     assert not out.exists()
+
+
+# ---- physical loop parameters ---------------------------------------------------
+
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def physical_params(draw):
+    """Any valid PhysicalParams: one bandwidth given, group_index or not."""
+    bandwidth = draw(st.sampled_from(("bandwidth_hz", "bandwidth_wavelength_m")))
+    return PhysicalParams(
+        wavelength_m=draw(_positive),
+        background_index=draw(_positive),
+        loop_radius_m=draw(_positive),
+        bend_loss_per_cm=draw(st.floats(min_value=0.0, max_value=1e300)),
+        pulse_width_s=draw(_positive),
+        dispersion_ps_nm_km=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        coupler_separation_m=draw(_positive),
+        transits=draw(st.integers(min_value=1, max_value=2**70)),
+        group_index=draw(st.none() | _positive),
+        **{bandwidth: draw(_positive)},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=physical_params(), drop_nulls=st.booleans())
+def test_every_drawn_loop_round_trips_through_json(p, drop_nulls):
+    d = {k: v for k, v in asdict(p).items() if v is not None or not drop_nulls}
+    assert PhysicalParams.from_json(json.dumps(d)) == p
+
+
+_LOOP_KEYS = [f.name for f in fields(PhysicalParams)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=physical_params(), data=st.data())
+def test_loop_json_with_a_key_missing_or_unknown_exits_2(p, data, tmp_path_factory):
+    d = {k: v for k, v in asdict(p).items() if v is not None}
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(
+            [f.name for f in fields(PhysicalParams) if f.default is MISSING]))
+        del d[key]
+    else:
+        key = data.draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+                        .filter(lambda t: t not in _LOOP_KEYS))
+        d[key] = 0
+    work = tmp_path_factory.mktemp("loop")
+    (work / "params.json").write_text(json.dumps(d))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["feasibility", str(work / "params.json")]) == 2
+    assert err.getvalue().startswith("config error:")
+    assert "physical parameter" in err.getvalue() and key in err.getvalue()
