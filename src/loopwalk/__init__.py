@@ -13,7 +13,7 @@ the physics.
 
 import importlib
 
-__version__ = "0.5.4"
+__version__ = "0.5.5"
 
 # public name -> the submodule that defines it, in the order of __all__
 _EXPORTS = {

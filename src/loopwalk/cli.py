@@ -14,6 +14,8 @@ Importing this module and parsing a command line load nothing beyond
 argparse, math, os, sys, functools and loopwalk's stdlib-only ``errors``:
 ``--version``, ``--help`` and a usage error load neither numpy nor json,
 datetime or dataclasses.  Each ``cmd_*`` imports what it uses when it runs.
+Annotations name only what is loaded at start-up, so ``typing.get_type_hints``
+resolves every function here; docstrings give the types of numpy arguments.
 """
 
 from __future__ import annotations
@@ -119,8 +121,8 @@ def _add_device_flags(sub: argparse.ArgumentParser):
                      help="circulant coupling vector, comma separated")
 
 
-def _device_from_args(args, theta) -> DeviceConfig:
-    """The device of ``--config`` or of the device flags given; the
+def _device_from_args(args, theta):
+    """The DeviceConfig of ``--config`` or of the device flags given; the
     command line's own defaults are a cylinder of 21 guides and, for a
     twisted circle, the nearest-neighbour ring."""
     from .model import DeviceConfig, mode_count_check
@@ -167,25 +169,57 @@ def _record(record: str, **fields) -> dict:
     return dict(schema_version=SCHEMA_VERSION, tool_version=__version__, record=record, **fields)
 
 
+def _is_number_matrix(values) -> bool:
+    """Whether ``values`` is a non-empty list of non-empty lists of plain
+    floats and ints: then in its JSON text every ", " separates two numbers
+    and every "], [" two rows."""
+    return type(values) is list and len(values) > 0 and all(
+        type(row) is list and len(row) > 0 and set(map(type, row)) <= {float, int}
+        for row in values
+    )
+
+
 def _write_json(path: str, payload: dict):
+    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)``
+    writes it, byte for byte.  A top-level ``values`` matrix is encoded by
+    json's C encoder, which ``indent`` turns off, and laid out as ``indent``
+    would: its rows at indent 4, their numbers at indent 6."""
     import json
 
+    values = payload.get("values")
+    if not _is_number_matrix(values):
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        key = '\n  "values": '  # only a top-level key starts a line at indent 2
+        text = json.dumps({**payload, "values": 0}, indent=2, sort_keys=True)
+        rows = (json.dumps(values)[2:-2]
+                .replace("], [", "\n    ],\n    [\n      ")
+                .replace(", ", ",\n      "))
+        text = text.replace(key + "0", f"{key}[\n    [\n      {rows}\n    ]\n  ]", 1)
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: str, values: np.ndarray):
-    lines = ["r,s,value\n"]
-    for r, row in enumerate(values.tolist(), start=1):
-        lines.extend(f"{r},{s},{v:.17g}\n" for s, v in enumerate(row, start=1))
-    with open(path, "w") as fh:
-        fh.write("".join(lines))
+        fh.write(text + "\n")
 
 
 @cache
-def _grey_table(sep: str) -> np.ndarray:
-    """Entry v holds the ASCII digits of v then ``sep``, NUL-padded to 4 bytes
-    (read-only, built on first use)."""
+def _csv_template(n_rows: int, n_cols: int) -> str:
+    """The csv text of an n_rows x n_cols matrix with a ``%.17g`` in place
+    of each value, in row-major order."""
+    cells = (f"{r},{s},%.17g\n" for r in range(1, n_rows + 1) for s in range(1, n_cols + 1))
+    return "r,s,value\n" + "".join(cells)
+
+
+def _write_csv(path: str, values):
+    """The 2-D float array ``values`` as ``r,s,value`` lines, 1-based, in
+    row-major order, each value to 17 significant digits."""
+    text = _csv_template(*values.shape) % tuple(values.ravel().tolist())
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+@cache
+def _grey_table(sep: str):
+    """A uint32 array whose entry v holds the ASCII digits of v then ``sep``,
+    NUL-padded to 4 bytes (read-only, built on first use)."""
     import numpy as np
 
     cells = b"".join(f"{v}{sep}".encode("ascii").ljust(4, b"\0") for v in range(256))
@@ -195,7 +229,9 @@ def _grey_table(sep: str) -> np.ndarray:
 _PGM_PER_LINE = 15  # 15 values of at most 4 chars keep lines under the 70-char limit
 
 
-def _write_pgm(path: str, values: np.ndarray):
+def _write_pgm(path: str, values):
+    """The 2-D float array ``values`` as a plain (P2) pgm image, scaled so
+    that its maximum is grey level 255."""
     import numpy as np
 
     grey_sp, grey_nl = _grey_table(" "), _grey_table("\n")

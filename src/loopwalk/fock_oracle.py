@@ -39,7 +39,14 @@ from .model import (
 from .spectra import coupling_for
 
 _OCCUPIED_TOL = 1e-12
-_LIFT_BLOCK_BYTES = 4 << 20  # output rows lift_to_two_photon fills per pass
+# Output rows lift_to_two_photon fills per pass.  Each block allocates
+# three block-sized temporaries, and 4-MiB ones were fresh memory maps whose
+# pages fault in on first touch: one N = 30 lift took ~51000 minor page
+# faults with 4-MiB blocks, ~300 with 1-MiB or 256-KiB ones.  Lift times at
+# N = 30, one BLAS thread, all bit-identical: 100.5 ms with 4-MiB blocks,
+# 90 ms at 2 MiB, 37-39 ms at 1 MiB, 35 ms at 512 KiB, 33.5-35 ms at
+# 256 KiB, 33 ms at 128 KiB and 38-43 ms at 64 KiB.
+_LIFT_BLOCK_BYTES = 256 << 10
 
 
 # ---- matrix exponential (Pade 13, scaling and squaring) ------------------
@@ -134,8 +141,10 @@ def lift_to_two_photon(u: np.ndarray) -> np.ndarray:
     is (u[r1,m1] u[r2,m2] + u[r1,m2] u[r2,m1]) / sqrt(1+delta_r) sqrt(1+delta_m),
     which keeps the map unitary on the normalised pair basis.
 
-    The result is filled a block of about _LIFT_BLOCK_BYTES of output rows
-    at a time, so the only dim x dim allocation is the result itself.
+    The result is filled a block of about _LIFT_BLOCK_BYTES (256 KiB) of
+    output rows at a time, so the only dim x dim allocation is the result
+    itself: under tracemalloc one lift peaks at 1.08 times its result at
+    N = 30 (1.70 at N = 12, where a block is a larger share of the matrix).
     """
     u = np.asarray(u, dtype=complex)
     pb = pair_basis(u.shape[0])
@@ -364,9 +373,9 @@ class StepOperators:
     use and then kept.  Evolve reaches a two-photon state through
     :func:`act_on_pairs` on the 2N x 2N amplitude matrix, so Couple is the
     only step lifted: one dim x dim complex matrix with dim = N(2N+1),
-    53.6 MB at N = 30.  Its peak memory is that matrix plus the one ~4-MiB
-    row block a lift fills at a time: ~98 MB peak RSS for the N = 30
-    benchmark sweep.  A device whose lifted Couple would not fit in
+    53.6 MB at N = 30.  Its peak memory is that matrix plus the one
+    ~256-KiB row block a lift fills at a time: ~92 MB peak RSS for the
+    N = 30 benchmark sweep.  A device whose lifted Couple would not fit in
     physical memory is refused with UnsupportedConfigError by
     :func:`oracle_memory_check` at construction.
     """

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -777,12 +778,69 @@ def test_pgm_matches_reference(n, fill, seed, tmp_path_factory):
     assert max(len(line) for line in data.split(b"\n")) <= 70
 
 
+# floats json writes in a form of their own, and the float extremes
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e308, -1e308)
+_floats = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(_EDGE_FLOATS))
+
+# number matrices of 1 x 1 to 70 x 70, square or not
+_matrices = st.tuples(
+    st.integers(min_value=1, max_value=70), st.integers(min_value=1, max_value=70)
+).flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=_floats)).map(np.ndarray.tolist)
+
+# lists that hold more than numbers, or are not lists of non-empty rows
+_other_values = st.one_of(
+    st.sampled_from([[], [[]], [[1.0], []], 3, 2.5, "1, 2", None, [1.0, 2.0], [[True]],
+                     [["a, b", 1.0]], [[[1.0]]], [[None]], [[{"x": 1}]]]),
+    st.lists(st.lists(st.one_of(st.integers(), _floats), min_size=1, max_size=4),
+             min_size=1, max_size=4),
+)
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), _floats, st.text(max_size=6))
+# keys around "values" in sort order, a key of its own, and any text
+_keys = st.one_of(st.sampled_from(["a", "value", "values ", "valuez", "z", "\n  \"values\": 0"]),
+                  st.text(max_size=8))
+_json_like = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(_keys, inner, max_size=3),
+        # a nested dict with its own values key
+        st.fixed_dictionaries({"values": st.one_of(_matrices, _other_values)}),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rest=st.dictionaries(_keys, _json_like, max_size=5),
+    values=st.one_of(st.just("absent"), _matrices, _other_values),
+)
+@example(rest={"record": "cell"}, values=[[1.0]])
+@example(rest={"step": 3}, values=np.resize(_EDGE_FLOATS, (70, 70)).tolist())
+@example(rest={"step": 3}, values=np.resize(_EDGE_FLOATS, (1, 70)).tolist())
+@example(rest={"step": 3}, values=np.resize(_EDGE_FLOATS, (70, 1)).tolist())
+@example(rest={}, values=[[1.0, 2], [3.5]])
+@example(rest={}, values=[[]])
+@example(rest={}, values=[[1.0], []])
+@example(rest={}, values=[["a, b", 1.0]])
+@example(rest={"a": {"values": [[1.0, 2.0]]}}, values="absent")
+def test_json_matches_reference(rest, values, tmp_path_factory):
+    payload = dict(rest)
+    if values != "absent":
+        payload["values"] = values
+    path = tmp_path_factory.mktemp("json") / "m.json"
+    _write_json(str(path), payload)
+    assert path.read_bytes() == _reference_json(payload)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    values=st.integers(min_value=1, max_value=8).flatmap(
+    values=st.integers(min_value=1, max_value=70).flatmap(
         lambda n: hnp.arrays(np.float64, (n, n), elements=st.floats(allow_subnormal=True))
     )
 )
+@example(values=np.resize(_EDGE_FLOATS, (70, 70)))
 def test_csv_matches_reference(values, tmp_path_factory):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     _write_csv(str(path), values)

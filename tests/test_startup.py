@@ -52,6 +52,25 @@ def test_parsing_loads_no_numpy(argv, result):
     assert _python(CLI_PROBE, *argv) == result
 
 
+# resolves the annotations of every function of loopwalk.cli, then prints
+# whether that loaded numpy
+HINTS_PROBE = """
+import sys, typing
+sys.path.insert(0, sys.argv[1])
+import loopwalk.cli as cli
+functions = [f for f in vars(cli).values()
+             if callable(f) and getattr(f, "__module__", None) == cli.__name__]
+assert len(functions) > 20
+for f in functions:
+    typing.get_type_hints(f)
+print("numpy" in sys.modules)
+"""
+
+
+def test_cli_annotations_resolve_without_numpy():
+    assert _python(HINTS_PROBE) == "False"
+
+
 # prints the modules of LAZY that `<command> --help` loaded, compared with
 # the interpreter's own start-up: a .pth file may preload some of them
 HELP_PROBE = """
