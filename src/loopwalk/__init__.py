@@ -13,7 +13,7 @@ the physics.
 
 import importlib
 
-__version__ = "0.5.5"
+__version__ = "0.6.0"
 
 # public name -> the submodule that defines it, in the order of __all__
 _EXPORTS = {
@@ -35,7 +35,6 @@ _EXPORTS = {
     "eigensystem_for": "spectra",
     "TransferMatrix": "propagate",
     "transfer_matrix": "propagate",
-    "compose": "propagate",
     "permute_modes": "propagate",
     "correlation_sweep": "correlations",
     "optimal_theta": "correlations",

@@ -231,13 +231,15 @@ _PGM_PER_LINE = 15  # 15 values of at most 4 chars keep lines under the 70-char 
 
 def _write_pgm(path: str, values):
     """The 2-D float array ``values`` as a plain (P2) pgm image, scaled so
-    that its maximum is grey level 255."""
+    that its maximum is grey level 255, half steps rounding up."""
     import numpy as np
 
     grey_sp, grey_nl = _grey_table(" "), _grey_table("\n")
     vmax = float(values.max())
     if vmax > 0.0:
-        grey = np.rint(values / vmax * 255.0).astype(int)
+        # a value within 1e-9 grey levels below a half step rounds up, so a
+        # tie does not follow the last bit of the value
+        grey = np.floor(values / vmax * 255.0 + (0.5 + 1e-9)).astype(int)
     else:
         grey = np.zeros_like(values, dtype=int)
     flat = grey.ravel()
@@ -283,8 +285,8 @@ def _write_cell(out_dir: str, stem: str, record, values, formats) -> list:
 def cmd_correlate(args) -> int:
     from dataclasses import replace
 
-    from .correlations import (check_sweep, correlation_sweep, require_commuting_loop,
-                               survival_prefactor)
+    from .correlations import (check_phase, check_sweep, correlation_sweep,
+                               require_commuting_loop, survival_prefactor)
     from .fock_oracle import StepOperators, delayed_run, oracle_memory_check
     from .model import uniform_angle
     from .spectra import eigensystem_for
@@ -324,10 +326,11 @@ def cmd_correlate(args) -> int:
     es = eigensystem_for(base_cfg)
 
     out_dir = args.out or os.environ.get("QWALK_OUT", "qwalk_out")
-    formats = tuple(args.formats.split(","))
+    formats = _unique(args.formats.split(","))
     bad = set(formats) - set(_FORMATS)
     if bad:
         raise ConfigError(f"unknown output formats {sorted(bad)}; choose from {_FORMATS}")
+    check_phase(es, base_cfg.tau, max_step + max(delays))
 
     # created only once every input has been checked, so a refused run leaves nothing
     try:
@@ -436,13 +439,12 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_modes(args) -> int:
-    from .correlations import invariant_modes
-    from .model import permutation_for
+    from .correlations import invariant_modes, require_commuting_loop
     from .spectra import eigensystem_for
 
     cfg = _device_from_args(args, _thetas_from_args(args)[0])
     es = eigensystem_for(cfg)
-    p = permutation_for(cfg)
+    p = require_commuting_loop(cfg)
     groups = invariant_modes(es, p, tol=args.tol)
     for grp in groups:
         modes = ",".join(str(i) for i in grp.mode_indices)

@@ -5,24 +5,25 @@ produces, after n transits around the loop, a coincidence probability for
 the detector pair (r, s) of
 
     cos(theta)^(4(n-1)) sin(theta)^4 / ((1 + delta_rs) (1 + delta_jk))
-        * | U[j, q(r)] U[k, q(s)] + U[j, q(s)] U[k, q(r)] |^2
+        * | U_n[j, r] U_n[k, s] + U_n[j, s] U_n[k, r] |^2
 
-where U = U(n tau) is the single-photon transfer matrix over n transits
-and q is the inverse of the n-fold loop relabelling: detectors are wired
-to fixed positions while the walk pattern is carried around the loop.
-The 1 + delta_jk is the norm^2 of the input pair state; when photon two
-enters n_d transits late it becomes 1 + |W[j, k]|^2, with W = U(n_d tau)
-rewired by the n_d-fold relabelling, the amplitude that photon one
-already occupies guide k.
-The classical (distinguishable) counterpart adds the two squared moduli
-instead of the two amplitudes, so the difference between the matrices is
-purely two-photon interference.  Carrying the pattern by relabelling is
-exact only when the loop permutation commutes with the coupling matrix.
+where U_n = U(n tau) P^-n carries the walk pattern n times round the loop
+relabelling P.  P commutes with the coupling matrix, so the normal modes
+can be chosen with P v_i = mu_i v_i (:func:`loop_basis`), and U_n is
+V diag(exp(-i lambda n tau) conj(mu)^n) V^dagger: one phase per mode.
+The moebius half twist is the modes with mu = -1, the twisted circle's
+shift gives Fourier mode m the phase exp(2 pi i (m - 1) c / N), and the
+modes with mu = 1 freeze the pattern (:func:`invariant_modes`).
+When photon two enters n_d transits late, 1 + delta_jk becomes
+1 + |U_{n_d}[j, k]|^2.  The classical (distinguishable) counterpart adds
+the two squared moduli instead of the two amplitudes, so the difference
+is purely two-photon interference.
 
 The formula lives in :func:`correlation_sweep`, which evaluates it for
 every step of one (input pair, delay, kind); :func:`device_correlation`
 is a one-cell call into it from a device description, and
-:func:`check_sweep` holds the input rules both share with the CLI.
+:func:`check_sweep` and :func:`check_phase` hold the input rules both
+share with the CLI.
 
 Every function takes 1-based guide indices and an explicit ``rescaled``
 flag: rescaled output divides out the survival prefactor (the form used
@@ -34,6 +35,7 @@ is defined for rescaled output only, where it reduces to the input pair.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +45,15 @@ from .model import (
     CorrelationMatrix,
     DeviceConfig,
     EigenSystem,
+    NumericError,
     Permutation,
     UnsupportedConfigError,
+    _readonly,
     permutation_for,
     require_memory,
     uniform_angle,
 )
-from .propagate import compose, order, permute_modes
+from .propagate import cycle_lengths, order, permute_modes
 from .spectra import coupling_for, eigensystem_for
 
 
@@ -100,6 +104,84 @@ def check_sweep(n_modes: int, steps, pairs, delays, kinds, *, rescaled: bool):
             raise ConfigError(f"input guides ({j}, {k}) out of range 1..{n_modes}")
 
 
+def check_phase(es: EigenSystem, tau: float, transits: int):
+    """Refuse a largest count m (step plus delay) whose phases
+    max |lambda| tau m reach 2^32 rad: their rounding exceeds 2^-21 rad."""
+    try:
+        phase = float(np.max(np.abs(es.eigenvalues))) * (transits * tau)
+    except OverflowError:  # a count beyond the float range
+        phase = math.inf
+    if not phase < 2.0**32:
+        raise ConfigError(
+            f"{transits} transits at tau = {tau!r} give phases max|lambda| tau m = "
+            f"{phase:.3g} rad, not below 2^32 rad, where their rounding exceeds 2^-21 rad"
+        )
+
+
+# ---- the loop basis ------------------------------------------------------------
+
+
+def _clusters(lam: np.ndarray, degeneracy_tol: float) -> list:
+    """Sorted mode indices per cluster: in ascending order of eigenvalue, a
+    mode joins the one before it when within degeneracy_tol max(1, max |lambda|)."""
+    idx = np.argsort(lam, kind="stable")
+    gaps = np.diff(lam[idx]) > degeneracy_tol * max(1.0, float(np.max(np.abs(lam))))
+    return [sorted(c.tolist()) for c in np.split(idx, np.flatnonzero(gaps) + 1)]
+
+
+# a loop basis must carry P to this residual, and a cluster whose
+# V_c^dagger P V_c is off-diagonal by more is rotated
+_BASIS_TOL = 1e-12
+
+
+def loop_basis(es: EigenSystem, p: Permutation, *, degeneracy_tol: float = 1e-9):
+    """Normal modes that the loop relabelling P also diagonalises.
+
+    Returns ``(eigenvalues, vectors, k, period)``: P v_i = mu_i v_i for
+    column i of ``vectors``, mu_i = exp(2 pi i k_i / period), k_i an exact
+    int and period = order(p).  A cluster (as in :func:`invariant_modes`)
+    on which V_c^dagger P V_c is not diagonal is rotated onto that unitary's
+    eigenvectors, orthonormalised by QR; none of the built-in topologies
+    has one.  mu_i is snapped to a root of unity of the order of the cycle
+    of p through the mode's largest entry.  NumericError when
+    max |P V - V diag(mu)| > 1e-12, as when P does not commute with G.
+    """
+    lam = np.array(es.eigenvalues)
+    v = np.array(es.eigenvectors)
+    pinv = p.inverse().zero_based()  # (P x)[r] = x[pinv[r]]
+    pv = v[pinv]
+    mu = np.einsum("ri,ri->i", v.conj(), pv)  # v_i^dagger P v_i for every mode
+    for c in [c for c in _clusters(lam, degeneracy_tol) if len(c) > 1]:
+        m = v[:, c].conj().T @ pv[:, c]
+        if np.max(np.abs(m - np.diag(np.diag(m)))) > _BASIS_TOL:
+            q = np.linalg.qr(np.linalg.eig(m)[1])[0]
+            v[:, c] = v[:, c] @ q
+            lam[c] = (np.abs(q) ** 2).T @ lam[c]  # each new mode's Rayleigh quotient
+            mu[c] = np.diag(q.conj().T @ m @ q)
+    ell = np.array(cycle_lengths(p))[np.argmax(np.abs(v), axis=0)]
+    turns = np.rint(np.angle(mu) / (2.0 * np.pi) * ell).astype(np.int64) % ell
+    residual = float(np.max(np.abs(v[pinv] - v * np.exp(2j * np.pi * turns / ell))))
+    if not residual <= _BASIS_TOL:
+        raise NumericError("no normal modes carry the loop relabelling as one phase each: max "
+                           f"|P V - V diag(mu)| = {residual:.3e} > {_BASIS_TOL:g}", residual=residual)
+    period = order(p)
+    k = tuple(int(a) * (period // int(length)) for a, length in zip(turns, ell))
+    return lam, v, k, period
+
+
+def _loop_turns(counts, loop_k, period: int) -> np.ndarray:
+    """(k_i m mod period) / period for count m (rows) and mode i (columns),
+    reduced in integers: int64 while k_i m fits, Python ints beyond."""
+    reduced = np.array([m % period for m in counts], dtype=np.int64 if period < 2**31 else object)
+    turns = np.empty((len(counts), len(loop_k)))
+    for i, k_i in enumerate(loop_k):
+        turns[:, i] = reduced * k_i % period
+    return turns / period
+
+
+# ---- the kernel ------------------------------------------------------------------
+
+
 def correlation_sweep(
     es: EigenSystem,
     p: Permutation,
@@ -116,12 +198,12 @@ def correlation_sweep(
     """Coincidence matrices for one input pair, delay and kind, step by step.
 
     Photon one enters guide j and has propagated n + n_d transits when
-    photon two, entering guide k n_d transits later, has propagated n; the
-    detector wiring follows each photon's own relabelling depth.  Rows
-    j and k of U(m tau) for every step come from one phase matrix and one
-    matrix product.  Inputs are checked by :func:`check_sweep` before
-    anything is computed; the returned iterator yields one
-    :class:`CorrelationMatrix` per entry of ``steps``, in order.
+    photon two, entering guide k n_d transits later, has propagated n.
+    Rows j and k of U_m for every step come from one phase matrix over the
+    loop basis (:func:`loop_basis`, built once per call) and one matrix
+    product.  Inputs are checked by :func:`check_sweep` and
+    :func:`check_phase` before anything is computed; the returned iterator
+    yields one :class:`CorrelationMatrix` per entry of ``steps``, in order.
 
     ``n = 0`` is the input snapshot and is only defined rescaled (the
     physical prefactor counts coupler passes that have not happened yet).
@@ -131,36 +213,26 @@ def correlation_sweep(
     """
     steps = tuple(int(n) for n in steps)
     check_sweep(es.n, steps, ((j, k),), (n_d,), (kind,), rescaled=rescaled)
+    # photon one's counts n + n_d, photon two's n, then photon two's entry
+    counts = [n + n_d for n in steps] + list(steps) + [n_d]
     th = uniform_angle(theta)
+    check_phase(es, tau, max(counts))
+    lam, v, loop_k, period = loop_basis(es, p)
 
-    # photon one's row at steps n + n_d, then photon two's at steps n; the
-    # stack always has >= 2 rows, so matmul stays a gemm and each row is
-    # bit-identical to the same row of transfer_matrix (a one-row product
-    # goes to gemv, whose sums differ in the last bit)
-    counts = [n + n_d for n in steps] + list(steps)
+    # phases conj(mu_i)^m exp(-i lambda_i m tau)
+    phases = np.exp(-2j * np.pi * _loop_turns(counts, loop_k, period))
     t = np.array([float(m * tau) for m in counts])
-    v = es.eigenvectors
-    phases = np.exp((-1j * es.eigenvalues)[None, :] * t[:, None])
+    phases *= np.exp((-1j * lam)[None, :] * t[:, None])
+    # the stack of rows always has >= 2 of them, so matmul stays a gemm (a
+    # one-row product goes to gemv, whose sums differ in the last bit)
     half = len(steps)
-    rows = np.concatenate((v[j - 1] * phases[:half], v[k - 1] * phases[half:])) @ v.conj().T
-    # detector d reads mode q(d), q the inverse of the m-fold relabelling;
-    # q depends on m only through m mod the order of p
-    period = order(p)
-    wiring = {r: compose(p, -r).zero_based() for r in {m % period for m in counts}}
-    if n_d == 0:
-        norm_sq = 1.0 + (j == k)
-    else:
-        # photon one's amplitude at guide k when photon two enters there:
-        # W[j-1, k-1] with W = U(n_d tau)[:, compose(p, -n_d).zero_based()]
-        q_k = compose(p, -n_d).zero_based()[k - 1]
-        phase = np.exp(-1j * es.eigenvalues * float(n_d * tau))
-        norm_sq = 1.0 + abs(np.dot(v[j - 1] * phase, v[q_k].conj())) ** 2
+    rows = np.concatenate((v[j - 1] * phases[:half], v[k - 1] * phases[half:-1])) @ v.conj().T
+    # 1 + |photon one's amplitude at guide k when photon two enters there|^2
+    norm_sq = 1.0 + (abs(np.dot(v[j - 1] * phases[-1], v[k - 1].conj())) ** 2 if n_d else (j == k))
 
     def matrices():
         for i, n in enumerate(steps):
-            cross = np.outer(
-                rows[i, wiring[(n + n_d) % period]], rows[half + i, wiring[n % period]]
-            )
+            cross = np.outer(rows[i], rows[half + i])
             if kind == "quantum":
                 amp_sq = np.abs(cross + cross.T) ** 2
             else:
@@ -195,15 +267,15 @@ def optimal_theta(n: int) -> float:
 def symmetry_map(topology: str, n: int, n_modes: int, shift_c: int | None = None) -> Permutation:
     """Relabelling that carries a reference pattern onto a twisted one.
 
-    After n transits the moebius pattern is the cylinder pattern with
-    indices mirrored on odd n (and untouched on even n); a twisted circle
-    is the untwisted ring shifted by n * c.  The returned permutation is
-    meant for ``permute_modes(reference_matrix, perm, side="both")``.
+    After n transits the moebius pattern is the cylinder pattern mirrored
+    on odd n, as the chain's modes have mu = +-1; a twisted circle is the
+    untwisted ring shifted by n * c.  The returned permutation is meant for
+    ``permute_modes(reference_matrix, perm, side="both")``.
     """
     if n < 0:
         raise ConfigError(f"transit count must be >= 0, got {n}")
     if topology == "moebius":
-        return compose(Permutation.mirror(n_modes), n)
+        return Permutation.mirror(n_modes) if n % 2 else Permutation.identity(n_modes)
     if topology == "twisted_circle":
         if shift_c is None or not 0 <= shift_c < n_modes:
             raise ConfigError(
@@ -219,6 +291,7 @@ def symmetry_map(topology: str, n: int, n_modes: int, shift_c: int | None = None
 # ---- invariant normal modes -------------------------------------------------
 
 
+@dataclass(frozen=True)
 class InvariantSubspace:
     """Modes of one (near-)degenerate eigenvalue and the part of their
     span left unchanged by the loop relabelling.
@@ -228,12 +301,9 @@ class InvariantSubspace:
     invariant subspace; zero columns means no combination is preserved.
     """
 
-    def __init__(self, eigenvalue: float, mode_indices: tuple, basis: np.ndarray):
-        self.eigenvalue = float(eigenvalue)
-        self.mode_indices = tuple(int(i) for i in mode_indices)
-        basis = np.array(basis, dtype=complex)
-        basis.setflags(write=False)
-        self.basis = basis
+    eigenvalue: float
+    mode_indices: tuple[int, ...]
+    basis: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -243,16 +313,6 @@ class InvariantSubspace:
     def invariant_dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def is_invariant(self) -> bool:
-        return self.invariant_dim > 0
-
-    def __repr__(self):
-        return (
-            f"InvariantSubspace(eigenvalue={self.eigenvalue!r}, "
-            f"modes={self.mode_indices}, invariant_dim={self.invariant_dim})"
-        )
-
 
 def invariant_modes(
     es: EigenSystem,
@@ -260,14 +320,13 @@ def invariant_modes(
     tol: float = 1e-9,
     degeneracy_tol: float = 1e-9,
 ) -> list:
-    """Group modes by eigenvalue and test invariance under the relabelling.
+    """Group modes by eigenvalue and keep those the relabelling fixes.
 
-    A nondegenerate mode phi is invariant when phi[p^-1(m)] == phi[m] for
-    every entry, i.e. the relabelling fixes it with eigenvalue exactly one
-    (a sign flip or any other unit phase does not count: only a fixed mode
-    keeps two-photon statistics frozen together with any other fixed
-    mode).  For a degenerate cluster the invariant combinations are the
-    null space of (P - 1) restricted to the cluster span, found by SVD.
+    The modes are those of :func:`loop_basis`, so P v_i = mu_i v_i, and a
+    mode is invariant when mu_i is exactly one (k_i = 0) and
+    max |P v_i - v_i| <= ``tol``: a sign flip or any other unit phase does
+    not count, since only a fixed mode keeps two-photon statistics frozen
+    together with any other fixed mode.
 
     Eigenvalues within ``degeneracy_tol`` (relative to the spectral scale)
     of each other are treated as one cluster.  Both tolerances must be
@@ -278,42 +337,17 @@ def invariant_modes(
     for name, value in (("tol", tol), ("degeneracy_tol", degeneracy_tol)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-    lam = es.eigenvalues
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    thr = degeneracy_tol * scale
-
-    order = np.argsort(lam, kind="stable")
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and lam[idx] - lam[clusters[-1][-1]] <= thr:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-
-    pmat = p.matrix()
-    out = []
-    for cluster in clusters:
-        cluster = sorted(cluster)
-        block = es.eigenvectors[:, cluster]
-        if len(cluster) == 1:
-            phi = block[:, 0]
-            moved = pmat @ phi
-            basis = block if float(np.max(np.abs(moved - phi))) <= tol else block[:, :0]
-        else:
-            defect = pmat @ block - block
-            _, sing, vh = np.linalg.svd(defect, full_matrices=True)
-            sing = np.concatenate([sing, np.zeros(len(cluster) - len(sing))])
-            null_cols = vh.conj().T[:, sing <= tol]
-            basis = block @ null_cols
-        out.append(
-            InvariantSubspace(
-                eigenvalue=float(np.mean(lam[cluster])),
-                mode_indices=tuple(i + 1 for i in cluster),
-                basis=basis,
-            )
+    _, v, loop_k, _ = loop_basis(es, p, degeneracy_tol=degeneracy_tol)
+    moved = np.max(np.abs(v[p.inverse().zero_based()] - v), axis=0)
+    fixed = [k_i == 0 and moved[i] <= tol for i, k_i in enumerate(loop_k)]
+    return [
+        InvariantSubspace(
+            eigenvalue=float(np.mean(es.eigenvalues[c])),
+            mode_indices=tuple(i + 1 for i in c),
+            basis=_readonly(v[:, [i for i in c if fixed[i]]]),
         )
-    out.sort(key=lambda s: min(s.mode_indices))
-    return out
+        for c in sorted(_clusters(es.eigenvalues, degeneracy_tol))
+    ]
 
 
 def two_photon_invariant_check(
@@ -391,10 +425,10 @@ def two_photon_invariant_check(
 def require_commuting_loop(cfg: DeviceConfig) -> Permutation:
     """The device's loop permutation, checked against the closed forms.
 
-    The closed forms carry the pattern around the loop by rewiring the
-    detectors, which is exact only when the relabelling P commutes with
-    the coupling matrix G.  Topologies built here always do; a custom
-    device may not, and is refused with UnsupportedConfigError when
+    The closed forms carry the pattern around the loop as one phase per
+    normal mode, which needs the relabelling P to commute with the
+    coupling matrix G.  Topologies built here always do; a custom device
+    may not, and is refused with UnsupportedConfigError when
     max |P G P^T - G| exceeds 1e-12 max(1, max |G|).
     """
     p = permutation_for(cfg)

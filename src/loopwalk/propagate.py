@@ -43,48 +43,22 @@ def transfer_matrix(es: EigenSystem, t: float) -> TransferMatrix:
     return TransferMatrix(float(t), u)
 
 
-def _cycles(p: Permutation) -> list[list[int]]:
-    """The cycles of p as lists of 0-based indices, each in the order p
-    visits them."""
-    mapping = p.mapping
-    seen = [False] * p.n
-    cycles = []
+def cycle_lengths(p: Permutation) -> list[int]:
+    """Entry j - 1 is the length of the cycle of p through guide j."""
+    lengths = [0] * p.n
     for start in range(p.n):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = mapping[start] - 1
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = mapping[nxt] - 1
-        cycles.append(cycle)
-    return cycles
+        if not lengths[start]:
+            cycle = [start]
+            while p.mapping[cycle[-1]] - 1 != start:
+                cycle.append(p.mapping[cycle[-1]] - 1)
+            for idx in cycle:
+                lengths[idx] = len(cycle)
+    return lengths
 
 
 def order(p: Permutation) -> int:
-    """Smallest m >= 1 with p^m the identity: the lcm of the cycle lengths.
-
-    compose(p, n) depends only on n mod order(p).
-    """
-    return math.lcm(*(len(cycle) for cycle in _cycles(p)))
-
-
-def compose(p: Permutation, n: int) -> Permutation:
-    """p applied n times; negative n composes the inverse, n = 0 is identity.
-
-    Walks each cycle of p once: on a cycle of length L, p^n moves every
-    element n mod L places along it, so the cost is O(N) for any n.
-    """
-    n = int(n)
-    out = [0] * p.n
-    for cycle in _cycles(p):
-        length = len(cycle)
-        shift = n % length  # Python's modulo is non-negative, so n < 0 runs backwards
-        for pos, idx in enumerate(cycle):
-            out[idx] = cycle[(pos + shift) % length] + 1
-    return Permutation(tuple(out))
+    """Smallest m >= 1 with p^m the identity: the lcm of the cycle lengths."""
+    return math.lcm(*cycle_lengths(p))
 
 
 def permute_modes(m: np.ndarray, p: Permutation, side: str = "both") -> np.ndarray:

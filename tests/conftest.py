@@ -7,15 +7,33 @@ visible (including under `pytest ... | tee`).
 
 Property tests draw their examples from a seed derived from each test
 function, so a run's examples depend only on the commit; each test's own
-``@settings(max_examples=...)`` still sets how many it draws.
+``@settings(max_examples=...)`` still sets how many it draws.  With
+``HYPOTHESIS_PROFILE=deep`` in the environment they draw ten times as
+many, from a fresh random seed each run: a search for inputs that the
+fixed examples miss.  Pin what it finds as an ``@example``.
 """
 
+import os
 import sys
 
 from hypothesis import settings
 
 settings.register_profile("derandomized", derandomize=True)
-settings.load_profile("derandomized")
+settings.register_profile("deep", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
+
+
+def pytest_collection_modifyitems(items):
+    """Under the deep profile, scale every property test's example count."""
+    if settings.get_current_profile_name() != "deep":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "obj", None)
+        if getattr(test, "is_hypothesis_test", False) and id(test) not in scaled:
+            scaled.add(id(test))  # parametrised cases share one function
+            own = test._hypothesis_internal_use_settings
+            test._hypothesis_internal_use_settings = settings(own, max_examples=10 * own.max_examples)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -229,6 +229,41 @@ def test_bad_format_is_config_error(tmp_path):
     assert not out.exists()
 
 
+def test_repeated_formats_are_written_and_recorded_once(tmp_path):
+    code, out = run(tmp_path, "correlate", "--n-modes", "4", "--inputs", "1,2", "--steps", "1",
+                    "--formats", "csv,pgm,csv")
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["formats"] == ["csv", "pgm"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "corr_quantum_resc_th0_nd0_n1_j1k2.csv", "corr_quantum_resc_th0_nd0_n1_j1k2.pgm",
+        "manifest.json", "run.log",
+    ]
+
+
+# each exited 0 and wrote cells of noise: max|lambda| tau m far beyond 2^32 rad
+@pytest.mark.parametrize("flags", [
+    ["--delay", "99999999999999999999"],
+    ["--tau", "1e300"],
+    ["--omega", "1e308"],
+    ["--steps", "9223372036854775807"],
+])
+def test_phase_without_digits_is_config_error(tmp_path, capsys, flags):
+    code, out = run(tmp_path, "correlate", "--topology", "cylinder", "--n-modes", "4",
+                    "--inputs", "1,2", "--steps", "1", *flags)
+    assert code == 2
+    assert "not below 2^32 rad" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_phase_limit_is_2_to_the_32_rad(tmp_path):
+    # max |lambda| = 2 cos(pi / 5) on a 4-guide chain
+    last = math.floor(2.0**32 / (2.0 * math.cos(math.pi / 5)))
+    for delay, code in ((last - 1, 0), (last + 1, 2)):
+        argv = ["correlate", "--n-modes", "4", "--inputs", "1,2", "--steps", "1",
+                "--delay", str(delay - 1), "--formats", "pgm"]
+        assert run(tmp_path / str(delay), *argv)[0] == code
+
+
 @pytest.mark.parametrize("thetas, bad", [("0.5,2.0", "2.0"), ("0.5,-1", "-1.0"), ("0.5,nan", "nan")])
 def test_every_theta_is_checked_before_output(tmp_path, capsys, thetas, bad):
     code, out = run(
@@ -578,6 +613,24 @@ def test_non_commuting_custom_device_is_config_error(tmp_path):
     assert not out.exists()
 
 
+def test_modes_of_a_non_commuting_loop_is_config_error(tmp_path, capsys):
+    # no mode basis carries such a loop as one phase per mode
+    cfile = tmp_path / "dev.json"
+    cfile.write_text(non_commuting_device().to_json())
+    assert main(["modes", "--config", str(cfile)]) == 2
+    assert "commutes with the coupling matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("topology, tol, fixed", [
+    ("cylinder", "0", 21),  # the identity loop fixes every mode to the bit
+    ("moebius", "0", 0),  # the odd sine modes are mirror-symmetric to rounding only
+    ("moebius", "5", 11),  # a loop phase of -1 is not fixed however loose the tol
+])
+def test_modes_tol_bounds_how_far_a_fixed_mode_moves(capsys, topology, tol, fixed):
+    assert main(["modes", "--topology", topology, "--n-modes", "21", "--tol", tol]) == 0
+    assert capsys.readouterr().out.endswith(f"invariant modes: {fixed} of 21\n")
+
+
 def test_config_file_conflicts_with_flags(tmp_path):
     cfile = tmp_path / "dev.json"
     cfile.write_text('{"topology": "cylinder", "n_modes": 4, "theta": 0.3}')
@@ -718,7 +771,8 @@ def test_oracle_lifts_step_matrices_once_per_theta(tmp_path, monkeypatch):
 def _reference_pgm(values):
     vmax = float(values.max())
     if vmax > 0.0:
-        grey = np.rint(values / vmax * 255.0).astype(int)
+        # nearest grey level, a half step (to 1e-9 of a level) rounding up
+        grey = np.floor(values / vmax * 255.0 + (0.5 + 1e-9)).astype(int)
     else:
         grey = np.zeros_like(values, dtype=int)
     lines = ["P2", f"{values.shape[1]} {values.shape[0]}", "255"]
@@ -871,6 +925,17 @@ def test_pgm_format(tmp_path):
     assert lines[1] == "2 2"
     assert lines[2] == "255"
     assert lines[3].split() == ["0", "128", "128", "255"]
+
+
+def test_pgm_half_steps_round_up(tmp_path):
+    # a value at a half grey step, or one ulp either side of it, takes the
+    # upper level whatever its last bit (rint took 126.5 to 126, 127.5 to 128)
+    half = (np.arange(255) + 0.5) / 255.0
+    values = np.concatenate([np.nextafter(half, 0.0), half, np.nextafter(half, 1.0), [1.0]])
+    path = tmp_path / "h.pgm"
+    _write_pgm(str(path), values[None, :])
+    grey = [int(v) for v in path.read_text().split()[4:]]
+    assert grey == list(range(1, 256)) * 3 + [255]
 
 
 def test_pgm_zero_matrix(tmp_path):

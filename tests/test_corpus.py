@@ -5,11 +5,10 @@ the hash of each output file (``run.log`` aside) with ``golden/corpus.json``,
 after setting ``tool_version`` to "" as test_manifest_bytes_match_golden
 does.  csv and json values come from BLAS products, whose last bits depend
 on the OpenBLAS kernel, so their hashes are compared only on the core the
-corpus was made on; ``manifest.json`` is compared everywhere, and so are the
-pgm files of the built-in topologies.  A custom device is diagonalised by
-LAPACK, and its ring's cells hold values of exactly half their maximum, a
-grey level of 127.5 that rounds to 127 or 128 with the last bit: its pgm
-files are compared on the corpus's core only.
+corpus was made on; ``manifest.json`` and every pgm file are compared
+everywhere.  A pgm grey level within 1e-9 of a half step rounds up, so the
+custom ring's cells, which hold values of exactly half their maximum (a
+grey level of 127.5), write the same pgm bytes whatever their last bit.
 
 A change that moves output bytes on purpose regenerates the corpus with
 
@@ -100,9 +99,8 @@ def case_hashes(name: str, workdir: str) -> dict:
     return {f: _digest(os.path.join(out, f)) for f in sorted(os.listdir(out)) if f != "run.log"}
 
 
-def _core_independent(name: str, filename: str) -> bool:
-    pgm = filename.endswith(".pgm") and not name.startswith("custom")
-    return pgm or filename == "manifest.json"
+def _core_independent(filename: str) -> bool:
+    return filename.endswith(".pgm") or filename == "manifest.json"
 
 
 def _corpus() -> dict:
@@ -121,7 +119,7 @@ def test_output_bytes_match_corpus(tmp_path, name):
     got = case_hashes(name, str(tmp_path))
     assert sorted(got) == sorted(expected)
     same_core = openblas_core() == corpus["openblas_core"]
-    checked = [f for f in expected if same_core or _core_independent(name, f)]
+    checked = [f for f in expected if same_core or _core_independent(f)]
     assert [f for f in checked if got[f] != expected[f]] == []
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopwalk.model import Permutation
-from loopwalk.propagate import compose, order, permute_modes, transfer_matrix
+from loopwalk.propagate import cycle_lengths, order, permute_modes, transfer_matrix
 from loopwalk.spectra import eigen_circulant, eigen_tridiagonal
 
 
@@ -56,20 +56,6 @@ def test_transfer_matches_direct_exponential():
 # ---- permutation powers ------------------------------------------------
 
 
-def test_compose_powers():
-    p = Permutation.cyclic(6, 1)
-    assert compose(p, 0).is_identity()
-    assert compose(p, 6).is_identity()
-    q = compose(p, 4)
-    assert all(q(j) == Permutation.cyclic(6, 4)(j) for j in range(1, 7))
-
-
-def test_compose_negative_power_is_inverse():
-    p = Permutation.cyclic(7, 3)
-    assert compose(p, -1).mapping == p.inverse().mapping
-    assert compose(p, -2).mapping == compose(p.inverse(), 2).mapping
-
-
 def _naive_compose(p, n):
     """p applied |n| times one step at a time (its inverse for n < 0)."""
     base = p if n >= 0 else p.inverse()
@@ -86,18 +72,16 @@ def _permutations(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(p=_permutations(), n=st.integers(min_value=-60, max_value=60))
-def test_compose_matches_repeated_application(p, n):
-    assert compose(p, n).mapping == _naive_compose(p, n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(p=_permutations(), n=st.integers(min_value=-(10**6), max_value=10**6))
-def test_compose_depends_on_power_mod_order(p, n):
-    m = order(p)
-    assert compose(p, m).is_identity()
-    assert all(not compose(p, d).is_identity() for d in range(1, m) if m % d == 0)
-    assert compose(p, n).mapping == compose(p, n % m).mapping
+@given(p=_permutations())
+def test_order_is_the_smallest_identity_power(p):
+    m, lengths = order(p), cycle_lengths(p)
+    out = list(range(1, p.n + 1))
+    for power in range(1, m + 1):
+        out = [p(j) for j in out]
+        # guide j is back home exactly at the multiples of its cycle's length,
+        # so every guide first is at m, the lcm of those lengths
+        assert [o == j for j, o in enumerate(out, start=1)] == [power % n == 0 for n in lengths]
+    assert Permutation(tuple(out)).is_identity()
 
 
 def test_order_known_permutations():
@@ -107,18 +91,19 @@ def test_order_known_permutations():
     assert order(Permutation.cyclic(7, 3)) == 7
 
 
-def test_compose_large_power():
+def test_order_of_coprime_cycles():
     # cycles of lengths 1, 2, 3, 5 and 7, so p has order 210
     p = Permutation((1, 3, 2, 5, 6, 4, 8, 9, 10, 11, 7, 13, 14, 15, 16, 17, 18, 12))
+    assert cycle_lengths(p) == [1, 2, 2, 3, 3, 3] + [5] * 5 + [7] * 7
     assert order(p) == 210
-    for n in (10**6, -(10**6)):
-        assert compose(p, n).mapping == _naive_compose(p, n % 210)
+    assert Permutation(_naive_compose(p, 210)).is_identity()
 
 
 def test_mirror_squares_to_identity():
     p = Permutation.mirror(10)
-    assert compose(p, 2).is_identity()
-    assert not compose(p, 3).is_identity()
+    assert order(p) == 2
+    assert Permutation(_naive_compose(p, 2)).is_identity()
+    assert not Permutation(_naive_compose(p, 3)).is_identity()
 
 
 # ---- matrix relabelling ----------------------------------------------------

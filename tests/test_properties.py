@@ -10,7 +10,9 @@ its JSON form, and a drawn device's JSON with one field of the wrong type
 or out of range, or one key missing or unknown, is refused by
 ``correlate --config`` with exit code 2.  The same holds for drawn
 physical loop parameters: they round-trip through JSON, and with one key
-missing or unknown ``feasibility`` refuses them with exit code 2.
+missing or unknown ``feasibility`` refuses them with exit code 2.  Drawn
+``correlate`` argument strings either run, writing a manifest whose axes
+hold no repeats, or are refused with exit code 2 before ``--out`` exists.
 """
 
 import contextlib
@@ -238,6 +240,79 @@ def test_malformed_device_config_exits_2(case, tmp_path_factory):
     assert err.getvalue().startswith("config error:")
     assert "device config" in err.getvalue() and key in err.getvalue()
     assert not out.exists()
+
+
+# ---- correlate argument strings -------------------------------------------------
+
+# integers as typed: mostly small ones, then negative ones, and ones past
+# int64 or whose phases max|lambda| tau m carry no digits
+_int_text = st.one_of(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=-3, max_value=6),
+    st.sampled_from([10**11, 2**63 - 1, 2**63, -(2**63), 10**20]),
+).map(str)
+_guide_text = st.one_of(st.integers(min_value=1, max_value=4).map(str), _int_text)
+_junk = st.sampled_from(["", " ", "x", "1.5", "1e3", "nan", "..", ";", ",,", "0x1", "1_0", "+2"])
+
+
+def _joined(sep, item, max_size=3):
+    return st.lists(item, min_size=1, max_size=max_size).map(sep.join)
+
+
+_steps_text = st.one_of(
+    _joined(",", _int_text),
+    st.tuples(_int_text, _int_text).map("..".join),
+    _junk,
+)
+_pairs_text = st.one_of(
+    _joined(";", st.tuples(_guide_text, _guide_text).map(",".join)),
+    _joined(";", st.tuples(_guide_text, _guide_text).map(",".join)),
+    _joined(";", st.one_of(_guide_text, _junk)),
+)
+_delays_text = st.one_of(_joined(",", _int_text), _junk)
+_formats_text = _joined(",", st.sampled_from(["csv", "json", "pgm", "csv", "pgm", "npy", "", "CSV"]), 4)
+_theta_text = _joined(",", st.one_of(
+    st.floats(min_value=0.0, max_value=1.6).map(repr),
+    st.floats(min_value=-0.5, max_value=2.0).map(repr),
+    st.sampled_from(["0", "-0.0", "1.5707963267948966", "nan", "inf", "-1"]),
+    _junk,
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    device=st.sampled_from([["--topology", "cylinder"], ["--topology", "moebius"],
+                            ["--topology", "twisted_circle", "--c", "3"]]),
+    steps=_steps_text, inputs=_pairs_text, delay=_delays_text, formats=_formats_text,
+    theta=st.none() | _theta_text,
+)
+# a repeated format was recorded twice in manifest.json
+@example(device=["--topology", "cylinder"], steps="1_0", inputs="1,1", delay="1_0",
+         formats="csv,csv", theta=None)
+# phases of ~1e20 rad, which exited 0 with cells of noise
+@example(device=["--topology", "moebius"], steps="1", inputs="1,2", delay="100000000000000000000",
+         formats="pgm", theta=None)
+def test_correlate_argument_strings_run_or_exit_2(device, steps, inputs, delay, formats, theta,
+                                                  tmp_path_factory):
+    out = tmp_path_factory.mktemp("argv") / "out"
+    argv = ["correlate", *device, "--n-modes", "4", "--steps", steps, "--inputs", inputs,
+            "--delay", delay, "--formats", formats, "--out", str(out)]
+    if theta is not None:
+        argv += ["--theta", theta]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own refusals, "--steps -1,2" say
+            code = exc.code
+    if code != 0:
+        assert code == 2
+        assert not out.exists()
+        return
+    manifest = json.loads((out / "manifest.json").read_text())
+    for axis in ("steps", "delays", "input_pairs", "thetas", "kinds", "formats"):
+        values = [json.dumps(v) for v in manifest[axis]]
+        assert len(values) == len(set(values)), axis
 
 
 # ---- physical loop parameters ---------------------------------------------------
