@@ -107,15 +107,10 @@ def check_sweep(n_modes: int, steps, pairs, delays, kinds, *, rescaled: bool):
 def check_phase(es: EigenSystem, tau: float, transits: int):
     """Refuse a largest count m (step plus delay) whose phases
     max |lambda| tau m reach 2^32 rad: their rounding exceeds 2^-21 rad."""
-    try:
-        phase = float(np.max(np.abs(es.eigenvalues))) * (transits * tau)
-    except OverflowError:  # a count beyond the float range
-        phase = math.inf
-    if not phase < 2.0**32:
-        raise ConfigError(
-            f"{transits} transits at tau = {tau!r} give phases max|lambda| tau m = "
-            f"{phase:.3g} rad, not below 2^32 rad, where their rounding exceeds 2^-21 rad"
-        )
+    rate = float(np.max(np.abs(es.eigenvalues))) * tau  # rad per transit
+    if rate > 0.0 and not transits < 2.0**32 / rate:  # an int never overflows here
+        raise ConfigError(f"{transits} transits at max|lambda| tau = {rate:.3g} rad give phases "
+                          "not below 2^32 rad, where their rounding exceeds 2^-21 rad")
 
 
 # ---- the loop basis ------------------------------------------------------------
@@ -129,22 +124,16 @@ def _clusters(lam: np.ndarray, degeneracy_tol: float) -> list:
     return [sorted(c.tolist()) for c in np.split(idx, np.flatnonzero(gaps) + 1)]
 
 
-# a loop basis must carry P to this residual, and a cluster whose
-# V_c^dagger P V_c is off-diagonal by more is rotated
-_BASIS_TOL = 1e-12
-
-
 def loop_basis(es: EigenSystem, p: Permutation, *, degeneracy_tol: float = 1e-9):
     """Normal modes that the loop relabelling P also diagonalises.
 
     Returns ``(eigenvalues, vectors, k, period)``: P v_i = mu_i v_i for
     column i of ``vectors``, mu_i = exp(2 pi i k_i / period), k_i an exact
     int and period = order(p).  A cluster (as in :func:`invariant_modes`)
-    on which V_c^dagger P V_c is not diagonal is rotated onto that unitary's
-    eigenvectors, orthonormalised by QR; none of the built-in topologies
-    has one.  mu_i is snapped to a root of unity of the order of the cycle
-    of p through the mode's largest entry.  NumericError when
-    max |P V - V diag(mu)| > 1e-12, as when P does not commute with G.
+    on which P is not diagonal is rotated onto its eigenvectors there; a
+    basis that still leaves P V - V diag(mu) above 1e-12 is projected onto
+    P's eigenspaces, and NumericError raised if a mode loses more than
+    1e-12 of its weight, as when P does not commute with G.
     """
     lam = np.array(es.eigenvalues)
     v = np.array(es.eigenvectors)
@@ -153,30 +142,34 @@ def loop_basis(es: EigenSystem, p: Permutation, *, degeneracy_tol: float = 1e-9)
     mu = np.einsum("ri,ri->i", v.conj(), pv)  # v_i^dagger P v_i for every mode
     for c in [c for c in _clusters(lam, degeneracy_tol) if len(c) > 1]:
         m = v[:, c].conj().T @ pv[:, c]
-        if np.max(np.abs(m - np.diag(np.diag(m)))) > _BASIS_TOL:
+        if np.max(np.abs(m - np.diag(np.diag(m)))) > 1e-12:
             q = np.linalg.qr(np.linalg.eig(m)[1])[0]
             v[:, c] = v[:, c] @ q
             lam[c] = (np.abs(q) ** 2).T @ lam[c]  # each new mode's Rayleigh quotient
             mu[c] = np.diag(q.conj().T @ m @ q)
-    ell = np.array(cycle_lengths(p))[np.argmax(np.abs(v), axis=0)]
+    lengths = np.array(cycle_lengths(p))
+    ell = lengths[np.argmax(np.abs(v), axis=0)]
     turns = np.rint(np.angle(mu) / (2.0 * np.pi) * ell).astype(np.int64) % ell
-    residual = float(np.max(np.abs(v[pinv] - v * np.exp(2j * np.pi * turns / ell))))
-    if not residual <= _BASIS_TOL:
-        raise NumericError("no normal modes carry the loop relabelling as one phase each: max "
-                           f"|P V - V diag(mu)| = {residual:.3e} > {_BASIS_TOL:g}", residual=residual)
+    if not np.max(np.abs(v[pinv] - v * np.exp(2j * np.pi * turns / ell))) <= 1e-12:
+        # LAPACK's vector of a mode a gap away in eigenvalue from one of
+        # another loop phase leaks into it by ~eps |G| / gap.  On the mu
+        # eigenspace x[p^t(r)] = conj(mu)^t x[r], so on a cycle of length l
+        # the projection is x[r] -> the mean over t < l of mu^t x[p^t(r)],
+        # or 0 where mu^l != 1
+        w, at, step = v.copy(), np.arange(p.n), np.array(p.mapping) - 1
+        for t in range(1, int(lengths.max())):
+            at = step[at]
+            live = t < lengths
+            w[live] += v[at[live]] * np.exp(2j * np.pi * (turns * t % ell) / ell)
+        v = w / lengths[:, None]
+        v[turns * lengths[:, None] % ell != 0] = 0.0
+        lost = float(np.max(np.abs(1.0 - np.sum(np.abs(v) ** 2, axis=0))))
+        if not lost <= 1e-12:
+            raise NumericError("no normal modes carry the loop relabelling as one phase each: "
+                               f"{lost:.3e} > 1e-12 of a mode's weight is outside it", residual=lost)
     period = order(p)
     k = tuple(int(a) * (period // int(length)) for a, length in zip(turns, ell))
     return lam, v, k, period
-
-
-def _loop_turns(counts, loop_k, period: int) -> np.ndarray:
-    """(k_i m mod period) / period for count m (rows) and mode i (columns),
-    reduced in integers: int64 while k_i m fits, Python ints beyond."""
-    reduced = np.array([m % period for m in counts], dtype=np.int64 if period < 2**31 else object)
-    turns = np.empty((len(counts), len(loop_k)))
-    for i, k_i in enumerate(loop_k):
-        turns[:, i] = reduced * k_i % period
-    return turns / period
 
 
 # ---- the kernel ------------------------------------------------------------------
@@ -219,8 +212,14 @@ def correlation_sweep(
     check_phase(es, tau, max(counts))
     lam, v, loop_k, period = loop_basis(es, p)
 
-    # phases conj(mu_i)^m exp(-i lambda_i m tau)
-    phases = np.exp(-2j * np.pi * _loop_turns(counts, loop_k, period))
+    # phases conj(mu_i)^m exp(-i lambda_i m tau), with k_i m reduced mod the
+    # period in integers: int64 while the product fits, Python ints beyond
+    reduced = np.array([m % period for m in counts], dtype=np.int64 if period < 2**31 else object)
+    phases = np.empty((len(counts), es.n))
+    for i, k_i in enumerate(loop_k):
+        phases[:, i] = reduced * k_i % period
+    phases /= period
+    phases = np.exp(-2j * np.pi * phases)
     t = np.array([float(m * tau) for m in counts])
     phases *= np.exp((-1j * lam)[None, :] * t[:, None])
     # the stack of rows always has >= 2 of them, so matmul stays a gemm (a

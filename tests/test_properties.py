@@ -194,6 +194,20 @@ def test_closed_form_matches_simulator(cfg, data):
             assert np.max(np.abs(m.values - rec.coincidences)) <= 1e-12, (n_d, m.step)
 
 
+def test_closed_form_matches_simulator_on_near_degenerate_modes():
+    # found by the deep profile (st.data() cannot be an @example): modes
+    # 3e-5 apart in eigenvalue and of different loop phases, whose LAPACK
+    # eigenvectors carry P as a phase to 3.8e-11 only
+    g = np.full((3, 3), 1e-5) + (2.0 - 1e-5) * np.eye(3)
+    cfg = DeviceConfig(topology="custom", n_modes=3, theta=1.0, custom_g=g, custom_perm=(2, 3, 1))
+    es, p = eigensystem_for(cfg), require_commuting_loop(cfg)
+    for n_d in (0, 1, 2):
+        run = delayed_run(cfg, 1, 2, n_d, max(STEPS))
+        sweep = correlation_sweep(es, p, 1.0, cfg.tau, STEPS, 1, 2, n_d=n_d, rescaled=False)
+        for m, rec in zip(sweep, run.transit_records):
+            assert np.max(np.abs(m.values - rec.coincidences)) <= 1e-12, (n_d, m.step)
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_non_commuting_custom_device_exits_2(data, tmp_path_factory):
