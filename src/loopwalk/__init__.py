@@ -13,7 +13,7 @@ the physics.
 
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 # public name -> the submodule that defines it, in the order of __all__
 _EXPORTS = {
@@ -33,20 +33,13 @@ _EXPORTS = {
     "eigen_numeric": "spectra",
     "coupling_for": "spectra",
     "eigensystem_for": "spectra",
-    "TransferMatrix": "propagate",
-    "transfer_matrix": "propagate",
-    "permute_modes": "propagate",
     "correlation_sweep": "correlations",
     "optimal_theta": "correlations",
     "survival_prefactor": "correlations",
     "symmetry_map": "correlations",
-    "InvariantSubspace": "correlations",
     "invariant_modes": "correlations",
     "two_photon_invariant_check": "correlations",
     "device_correlation": "correlations",
-    "PairBasis": "fock_oracle",
-    "pair_basis": "fock_oracle",
-    "lift_to_two_photon": "fock_oracle",
     "TwoPhotonState": "fock_oracle",
     "StepOperators": "fock_oracle",
     "StepRecord": "fock_oracle",

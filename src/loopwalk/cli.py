@@ -320,6 +320,9 @@ def cmd_correlate(args) -> int:
                         f"--oracle cannot rescale transit {max_step} at theta {theta!r}: its "
                         "survival prefactor underflows the float range (use --physical)"
                     )
+        if "quantum" not in kinds or max_step < 1:
+            raise ConfigError("--oracle compares quantum cells at n >= 1, "
+                              "and this sweep has none")
 
     # the eigensystem and the loop relabelling do not depend on theta
     p = require_commuting_loop(base_cfg)
@@ -347,7 +350,7 @@ def cmd_correlate(args) -> int:
         for nd in delays:
             for j, k in pairs:
                 run = None
-                if operators is not None and "quantum" in kinds and max_step >= 1:
+                if operators is not None:
                     run = delayed_run(operators.cfg, j, k, nd, max_step, operators=operators)
                 for kind in kinds:
                     sweep = correlation_sweep(
@@ -387,7 +390,7 @@ def cmd_correlate(args) -> int:
 
     if args.oracle:
         oracle_entries.sort(key=lambda e: e["cell"])
-        worst = max((e["max_abs_diff"] for e in oracle_entries), default=0.0)
+        worst = max(e["max_abs_diff"] for e in oracle_entries)
         report = _record("oracle_diff_report", entries=oracle_entries, worst_max_abs_diff=worst)
         _write_json(os.path.join(out_dir, "oracle_diff.json"), report)
         written.append("oracle_diff.json")

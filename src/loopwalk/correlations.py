@@ -53,7 +53,6 @@ from .model import (
     require_memory,
     uniform_angle,
 )
-from .propagate import cycle_lengths, order, permute_modes
 from .spectra import coupling_for, eigensystem_for
 
 
@@ -129,12 +128,15 @@ def loop_basis(es: EigenSystem, p: Permutation, *, degeneracy_tol: float = 1e-9)
 
     Returns ``(eigenvalues, vectors, k, period)``: P v_i = mu_i v_i for
     column i of ``vectors``, mu_i = exp(2 pi i k_i / period), k_i an exact
-    int and period = order(p).  A cluster (as in :func:`invariant_modes`)
+    int and period = p.order().  A cluster (as in :func:`invariant_modes`)
     on which P is not diagonal is rotated onto its eigenvectors there; a
     basis that still leaves P V - V diag(mu) above 1e-12 is projected onto
     P's eigenspaces, and NumericError raised if a mode loses more than
-    1e-12 of its weight, as when P does not commute with G.
+    1e-12 of its weight, as when P does not commute with G.  ``es`` and
+    ``p`` on different mode counts are a ConfigError.
     """
+    if es.n != p.n:
+        raise ConfigError(f"eigensystem on {es.n} modes, permutation on {p.n}")
     lam = np.array(es.eigenvalues)
     v = np.array(es.eigenvectors)
     pinv = p.inverse().zero_based()  # (P x)[r] = x[pinv[r]]
@@ -147,7 +149,7 @@ def loop_basis(es: EigenSystem, p: Permutation, *, degeneracy_tol: float = 1e-9)
             v[:, c] = v[:, c] @ q
             lam[c] = (np.abs(q) ** 2).T @ lam[c]  # each new mode's Rayleigh quotient
             mu[c] = np.diag(q.conj().T @ m @ q)
-    lengths = np.array(cycle_lengths(p))
+    lengths = np.array(p.cycle_lengths())
     ell = lengths[np.argmax(np.abs(v), axis=0)]
     turns = np.rint(np.angle(mu) / (2.0 * np.pi) * ell).astype(np.int64) % ell
     if not np.max(np.abs(v[pinv] - v * np.exp(2j * np.pi * turns / ell))) <= 1e-12:
@@ -167,7 +169,7 @@ def loop_basis(es: EigenSystem, p: Permutation, *, degeneracy_tol: float = 1e-9)
         if not lost <= 1e-12:
             raise NumericError("no normal modes carry the loop relabelling as one phase each: "
                                f"{lost:.3e} > 1e-12 of a mode's weight is outside it", residual=lost)
-    period = order(p)
+    period = p.order()
     k = tuple(int(a) * (period // int(length)) for a, length in zip(turns, ell))
     return lam, v, k, period
 
@@ -269,7 +271,7 @@ def symmetry_map(topology: str, n: int, n_modes: int, shift_c: int | None = None
     After n transits the moebius pattern is the cylinder pattern mirrored
     on odd n, as the chain's modes have mu = +-1; a twisted circle is the
     untwisted ring shifted by n * c.  The returned permutation is meant for
-    ``permute_modes(reference_matrix, perm, side="both")``.
+    ``perm.relabel(reference_matrix)``.
     """
     if n < 0:
         raise ConfigError(f"transit count must be >= 0, got {n}")
@@ -331,8 +333,6 @@ def invariant_modes(
     of each other are treated as one cluster.  Both tolerances must be
     finite and non-negative.
     """
-    if es.n != p.n:
-        raise ConfigError(f"eigensystem on {es.n} modes, permutation on {p.n}")
     for name, value in (("tol", tol), ("degeneracy_tol", degeneracy_tol)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
@@ -432,7 +432,7 @@ def require_commuting_loop(cfg: DeviceConfig) -> Permutation:
     """
     p = permutation_for(cfg)
     g = coupling_for(cfg).g
-    defect = float(np.max(np.abs(permute_modes(g, p) - g)))
+    defect = float(np.max(np.abs(p.relabel(g) - g)))
     if defect > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
         raise UnsupportedConfigError(
             "closed-form correlations need a loop permutation that commutes with "

@@ -112,6 +112,36 @@ class Permutation:
     def is_identity(self) -> bool:
         return self.mapping == tuple(range(1, self.n + 1))
 
+    def cycle_lengths(self) -> list[int]:
+        """Entry j - 1 is the length of the cycle of p through guide j."""
+        lengths = [0] * self.n
+        for start in range(self.n):
+            if not lengths[start]:
+                cycle = [start]
+                while self.mapping[cycle[-1]] - 1 != start:
+                    cycle.append(self.mapping[cycle[-1]] - 1)
+                for idx in cycle:
+                    lengths[idx] = len(cycle)
+        return lengths
+
+    def order(self) -> int:
+        """Smallest m >= 1 with p^m the identity: the lcm of the cycle lengths."""
+        return math.lcm(*self.cycle_lengths())
+
+    def relabel(self, m: np.ndarray) -> np.ndarray:
+        """The N x N matrix ``m`` with both indices relabelled by p.
+
+        out[r-1, s-1] = m[pinv(r)-1, pinv(s)-1]: entry values travel from
+        old labels to their images under p, so out = P m P^T.
+        """
+        m = np.asarray(m)
+        if m.shape != (self.n, self.n):
+            raise ValueError(
+                f"matrix shape {m.shape} does not match permutation on {self.n} modes"
+            )
+        inv = self.inverse().zero_based()
+        return m[np.ix_(inv, inv)]
+
     def zero_based(self) -> np.ndarray:
         """Return p as a 0-based index array: out[j] = p(j+1) - 1."""
         return np.array(self.mapping, dtype=int) - 1

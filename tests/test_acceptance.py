@@ -18,7 +18,6 @@ from loopwalk.correlations import (
     two_photon_invariant_check,
 )
 from loopwalk.model import DeviceConfig, Permutation, permutation_for
-from loopwalk.propagate import permute_modes
 from loopwalk.spectra import (
     build_circulant,
     build_tridiagonal,
@@ -78,7 +77,7 @@ def test_02_half_twist_mirrors_the_pattern():
     cyls = correlation_sweep(es, ident, Q, 1.0, (1, 2, 3), 1, 7, rescaled=True)
     mobs = correlation_sweep(es, mirror, Q, 1.0, (1, 2, 3), 1, 7, rescaled=True)
     for cyl, mob in zip(cyls, mobs):
-        expect = permute_modes(cyl.values, symmetry_map("moebius", cyl.step, n_modes))
+        expect = symmetry_map("moebius", cyl.step, n_modes).relabel(cyl.values)
         worst = max(worst, float(np.max(np.abs(mob.values - expect))))
     _verdict(2, "half twist = mirrored pattern (odd n), undone (even n)", worst < 1e-12,
              f"worst {worst:.2e}")
@@ -93,7 +92,7 @@ def test_03_twist_shifts_the_pattern():
     refs = correlation_sweep(es, ring, Q, 1.0, range(1, 5), 1, 7, rescaled=True)
     tws = correlation_sweep(es, twist, Q, 1.0, range(1, 5), 1, 7, rescaled=True)
     for ref, tw in zip(refs, tws):
-        expect = permute_modes(ref.values, symmetry_map("twisted_circle", ref.step, n_modes, c))
+        expect = symmetry_map("twisted_circle", ref.step, n_modes, c).relabel(ref.values)
         worst = max(worst, float(np.max(np.abs(tw.values - expect))))
     _verdict(3, "twisted circle = ring pattern shifted by n c", worst < 1e-12,
              f"worst {worst:.2e}")

@@ -308,6 +308,20 @@ def test_oracle_same_guide_pair_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("steps", ["1..2", "0"])
+def test_oracle_with_no_quantum_cell_past_entry_is_config_error(tmp_path, capsys, steps):
+    # a classical sweep, or the n = 0 snapshot alone, wrote an oracle_diff.json
+    # with no entries and a worst difference of 0.0
+    code, out = run(
+        tmp_path,
+        "correlate", "--topology", "moebius", "--n-modes", "5", "--inputs", "1,3",
+        "--steps", steps, "--kind", "classical", "--oracle", "--formats", "csv",
+    )
+    assert code == 2
+    assert "--oracle compares quantum cells at n >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _ADDRESS_SPACE_LIMIT = 1536 * 2**20
 
 

@@ -6,9 +6,11 @@ after setting ``tool_version`` to "" as test_manifest_bytes_match_golden
 does.  csv and json values come from BLAS products, whose last bits depend
 on the OpenBLAS kernel, so their hashes are compared only on the core the
 corpus was made on; ``manifest.json`` and every pgm file are compared
-everywhere.  A pgm grey level within 1e-9 of a half step rounds up, so the
-custom ring's cells, which hold values of exactly half their maximum (a
-grey level of 127.5), write the same pgm bytes whatever their last bit.
+everywhere, here and under two more kernels that ``OPENBLAS_CORETYPE``
+picks in a process of their own.  A pgm grey level within 1e-9 of a half
+step rounds up, so the custom ring's cells, which hold values of exactly
+half their maximum (a grey level of 127.5), write the same pgm bytes
+whatever their last bit.
 
 A change that moves output bytes on purpose regenerates the corpus with
 
@@ -21,11 +23,13 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import loopwalk
 from loopwalk.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -121,6 +125,39 @@ def test_output_bytes_match_corpus(tmp_path, name):
     same_core = openblas_core() == corpus["openblas_core"]
     checked = [f for f in expected if same_core or _core_independent(f)]
     assert [f for f in checked if got[f] != expected[f]] == []
+
+
+# argv: a work directory; prints the OpenBLAS core, then each case's
+# core-independent hashes, as one JSON object
+CORE_PROBE = """
+import contextlib, json, os, sys
+import test_corpus as tc
+cases = {}
+for name in tc.CASES:
+    workdir = os.path.join(sys.argv[1], name)
+    os.mkdir(workdir)
+    with contextlib.redirect_stdout(open(os.devnull, "w")):
+        hashes = tc.case_hashes(name, workdir)
+    cases[name] = {f: h for f, h in hashes.items() if tc._core_independent(f)}
+print(json.dumps({"core": tc.openblas_core(), "cases": cases}))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_core_independent_bytes_on_other_kernels(tmp_path, core):
+    path = [os.path.dirname(os.path.dirname(loopwalk.__file__)), os.path.dirname(GOLDEN)]
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", CORE_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    # a library without DYNAMIC_ARCH ignores the request; Prescott may
+    # report itself under another name, so compare with this process's core
+    if got["core"] == openblas_core():
+        pytest.skip(f"OPENBLAS_CORETYPE={core} runs this process's kernel {got['core']!r}")
+    expected = {name: {f: h for f, h in case.items() if _core_independent(f)}
+                for name, case in _corpus()["cases"].items()}
+    assert got["cases"] == expected
 
 
 def test_pgm_and_manifest_are_in_the_corpus():

@@ -21,8 +21,8 @@ from loopwalk.model import (
     permutation_for,
 )
 from loopwalk.fock_oracle import delayed_run
-from loopwalk.propagate import permute_modes, transfer_matrix
 from loopwalk.spectra import eigen_circulant, eigen_tridiagonal, eigensystem_for
+from reference import transfer_matrix
 from test_propagate import _naive_compose
 
 Q = np.pi / 4
@@ -114,7 +114,7 @@ def test_mirror_relabelling_identity_is_exact():
         # exact in the mathematics; in floats the loop phase mu = -1 of the
         # even sine modes stands for the mirror, and the sine modes are
         # mirror-symmetric only to their last bit
-        mapped = permute_modes(cyl.values, symmetry_map("moebius", cyl.step, n_modes))
+        mapped = symmetry_map("moebius", cyl.step, n_modes).relabel(cyl.values)
         assert np.max(np.abs(mob.values - mapped)) <= 4 * np.finfo(float).eps
         if cyl.step % 2 == 0:
             # even transit counts undo the twist entirely, to the bit
@@ -132,7 +132,7 @@ def test_shift_relabelling_identity_is_exact():
     for a, b in zip(refs, twists):
         # exact in the mathematics, to rounding in floats (the shift is a
         # loop phase per Fourier mode, not a relabelling of the detectors)
-        mapped = permute_modes(a.values, symmetry_map("twisted_circle", a.step, n_modes, c))
+        mapped = symmetry_map("twisted_circle", a.step, n_modes, c).relabel(a.values)
         assert np.max(np.abs(b.values - mapped)) <= 4 * np.finfo(float).eps
 
 
@@ -219,15 +219,15 @@ def test_delayed_records_delay():
 
 def _reference_cell(es, p, theta, tau, n, n_d, j, k, kind, rescaled):
     """One cell from full transfer matrices and step-by-step relabelling."""
-    a = transfer_matrix(es, (n + n_d) * tau).u[j - 1]
-    b = transfer_matrix(es, n * tau).u[k - 1]
+    a = transfer_matrix(es, (n + n_d) * tau)[j - 1]
+    b = transfer_matrix(es, n * tau)[k - 1]
     a = a[[q - 1 for q in _naive_compose(p, -(n + n_d))]]
     b = b[[q - 1 for q in _naive_compose(p, -n)]]
     if kind == "quantum":
         vals = np.abs(np.einsum("r,s->rs", a, b) + np.einsum("s,r->rs", a, b)) ** 2
         # norm^2 of the entering pair state: photon one's amplitude at guide
         # k after n_d transits (delta_jk at n_d = 0, where U(0) = 1)
-        w = transfer_matrix(es, n_d * tau).u[j - 1, _naive_compose(p, -n_d)[k - 1] - 1]
+        w = transfer_matrix(es, n_d * tau)[j - 1, _naive_compose(p, -n_d)[k - 1] - 1]
         vals /= 1.0 + abs(w) ** 2
     else:
         vals = np.abs(np.einsum("r,s->rs", a, b)) ** 2 + np.abs(np.einsum("s,r->rs", a, b)) ** 2
@@ -289,8 +289,8 @@ def test_sweep_wiring_by_residue_is_bitwise(device, kind, n_d, monkeypatch):
     fast = list(correlation_sweep(*args, n_d=n_d, kind=kind, rescaled=True))
     # the loop enters only as k_i m mod the period: a multiple of the period
     # too large for int64 products reduces in Python ints to the same turns
-    real = correlations.order
-    monkeypatch.setattr(correlations, "order", lambda p: real(p) * 10**18)
+    real = Permutation.order
+    monkeypatch.setattr(Permutation, "order", lambda p: real(p) * 10**18)
     slow = list(correlation_sweep(*args, n_d=n_d, kind=kind, rescaled=True))
     assert [m.step for m in fast] == list(steps)
     for a, b in zip(fast, slow):
@@ -380,7 +380,7 @@ def non_commuting_device():
 def test_non_commuting_loop_refused():
     cfg = non_commuting_device()
     p = permutation_for(cfg)
-    assert np.max(np.abs(permute_modes(cfg.custom_g, p) - cfg.custom_g)) > 1.0
+    assert np.max(np.abs(p.relabel(cfg.custom_g) - cfg.custom_g)) > 1.0
     # why it is refused: relabelling U(n tau) drifts from the exact
     # simulator once the walk has gone round the loop more than once
     es = eigensystem_for(cfg)
@@ -455,6 +455,22 @@ def test_invariant_modes_refuse_bad_tolerances(name, bad):
     # a nan tol certified no mode and an inf one every mode
     with pytest.raises(ConfigError, match=f"^{name} must be finite"):
         invariant_modes(eigen_tridiagonal(5), Permutation.mirror(5), **{name: bad})
+
+
+@pytest.mark.parametrize("n_perm", [4, 6])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        correlations.loop_basis,
+        invariant_modes,
+        lambda es, p: next(correlation_sweep(es, p, 0.5, 1.0, (1,), 1, 2, rescaled=True)),
+    ],
+    ids=["loop_basis", "invariant_modes", "correlation_sweep"],
+)
+def test_mismatched_sizes_are_config_error(entry, n_perm):
+    # the kernel failed with a ValueError (4 modes) or an IndexError (6 modes)
+    with pytest.raises(ConfigError, match=f"^eigensystem on 5 modes, permutation on {n_perm}$"):
+        entry(eigen_tridiagonal(5), Permutation.mirror(n_perm))
 
 
 def test_ring_modes_under_shift():

@@ -35,7 +35,6 @@ from loopwalk.correlations import (
 from loopwalk.feasibility import PhysicalParams
 from loopwalk.fock_oracle import StepOperators, delayed_run
 from loopwalk.model import TOPOLOGIES, DeviceConfig, Permutation, permutation_for
-from loopwalk.propagate import permute_modes
 from loopwalk.spectra import eigensystem_for
 
 STEPS = (1, 2, 3)
@@ -173,9 +172,7 @@ def test_twisted_pattern_is_the_mapped_untwisted_one(cfg, data):
     twisted = correlation_sweep(es, permutation_for(cfg), *args, rescaled=True)
     plain = correlation_sweep(es, permutation_for(untwisted), *args, rescaled=True)
     for a, b in zip(plain, twisted):
-        mapped = permute_modes(
-            a.values, symmetry_map(cfg.topology, a.step, cfg.n_modes, cfg.shift_c)
-        )
+        mapped = symmetry_map(cfg.topology, a.step, cfg.n_modes, cfg.shift_c).relabel(a.values)
         assert np.max(np.abs(b.values - mapped)) <= 1e-12
 
 
@@ -215,7 +212,7 @@ def test_non_commuting_custom_device_exits_2(data, tmp_path_factory):
     a = np.array(data.draw(st.lists(couplings, min_size=n * n, max_size=n * n))).reshape(n, n)
     g = a + a.T
     p = data.draw(permutations(n))
-    defect = np.max(np.abs(permute_modes(g, p) - g))
+    defect = np.max(np.abs(p.relabel(g) - g))
     assume(defect > 1e-6 * max(1.0, np.max(np.abs(g))))  # else it commutes, or nearly
     cfg = DeviceConfig(topology="custom", n_modes=n, theta=0.5, custom_g=g, custom_perm=p.mapping)
     work = tmp_path_factory.mktemp("noncommuting")
